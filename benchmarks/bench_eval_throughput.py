@@ -1,24 +1,30 @@
 """Link-prediction evaluation throughput: batched protocol and sharded workers.
 
-Two measurements on synthetic FB15k-shaped workloads (a few thousand entities,
+Three measurements on synthetic FB15k-shaped workloads (a few thousand entities,
 a skewed relation distribution and a test split where many triples share their
 ``(h, r)`` / ``(r, t)`` query — exactly the redundancy the batched evaluator
 exploits):
 
-1. **Batched vs per-triple** — triples-ranked-per-second through the same
-   :class:`LinkPredictionEvaluator` in both modes.  Both paths produce
-   bit-identical rank records (asserted), so the comparison is pure protocol
-   overhead: query deduplication + vectorized rank extraction versus one
-   scoring call and one mask copy per triple.
+1. **Batched vs per-triple** — triples-ranked-per-second through
+   :class:`LinkPredictionEvaluator` against the per-triple oracle of the test
+   suite (``tests/eval/ranking_oracle.py``) with the same filter.  Both
+   produce bit-identical rank records (asserted), so the comparison is pure
+   protocol overhead: query deduplication + vectorized rank extraction versus
+   one scoring call and one mask copy per triple.
 2. **Workers sweep** — the batched path at ``n_workers`` in {1, 2, 4} on a
    larger workload, with bit-identity between the sharded and single-process
    results asserted at every worker count.
+3. **Peak memory** — the evaluator's traced allocation peak at the default
+   ``evaluation.batch_size`` against a small batch size, ranks asserted
+   identical: peak ranking memory is about ``batch_size × |E|`` scores, so
+   the small batch must peak below the default.
 
 The script is CI's **benchmark regression gate**: it always writes a
 machine-readable report (``BENCH_eval_throughput.json`` by default,
 ``--json PATH`` to override) and exits non-zero when an enforced gate fails.
 The batched-vs-per-triple gate (>= ``BENCH_MIN_BATCHED_SPEEDUP``, default
-1.2x) is always enforced; the 4-worker gate (>= ``BENCH_MIN_WORKER_SPEEDUP``,
+1.2x) and the small-batch memory gate (< 1.0x of the default's peak) are
+always enforced; the 4-worker gate (>= ``BENCH_MIN_WORKER_SPEEDUP``,
 default 1.5x over 1 worker) is enforced only when the machine has at least
 4 CPUs — on fewer cores the sweep still runs and is recorded, but parallel
 speedup is physically unavailable, so the gate reports itself as skipped.
@@ -36,14 +42,19 @@ import os
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api.options import EvalOptions
 from repro.eval import LinkPredictionEvaluator, multiprocessing_available
 from repro.kg import Dataset, TripleSet, Vocabulary
 from repro.models import ModelConfig, make_model
 from repro.telemetry.bench import bench_main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "eval"))
+from ranking_oracle import evaluate_per_triple  # noqa: E402
 
 NUM_ENTITIES = 1500
 NUM_RELATIONS = 40
@@ -110,11 +121,11 @@ def measure_throughput(seed: int = 29, dim: int = 64) -> dict:
     num_test = len(dataset.test)
 
     start = time.perf_counter()
-    per_triple = evaluator.evaluate(model, batched=False)
+    per_triple = evaluate_per_triple(evaluator, model)
     per_triple_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = evaluator.evaluate(model, batched=True)
+    batched = evaluator.evaluate(model)
     batched_seconds = time.perf_counter() - start
 
     _assert_identical(per_triple, batched, "batched vs per-triple")
@@ -143,15 +154,15 @@ def measure_worker_sweep(
         "DistMult", dataset.num_entities, dataset.num_relations, ModelConfig(dim=dim, seed=seed)
     )
     model.train_mode(False)
-    evaluator = LinkPredictionEvaluator(dataset)
     num_test = len(dataset.test)
 
     results = []
     reference = None
     single_seconds: Optional[float] = None
     for n_workers in sorted(set(workers) | {1}):
+        evaluator = LinkPredictionEvaluator(dataset, options=EvalOptions(workers=n_workers))
         start = time.perf_counter()
-        outcome = evaluator.evaluate(model, n_workers=n_workers)
+        outcome = evaluator.evaluate(model)
         seconds = time.perf_counter() - start
         if n_workers == 1:
             reference, single_seconds = outcome, seconds
@@ -177,9 +188,9 @@ def measure_worker_sweep(
     }
 
 
-#: Fused block budget for the peak-memory comparison: ~66 rows of the base
-#: workload's 1500 entities per block, far below one full eval-batch matrix.
-MEMORY_FUSED_BUDGET = 100_000
+#: Small batch size for the peak-memory comparison: 64 rows of the base
+#: workload's 1500 entities per score block, a quarter of the default 256.
+MEMORY_SMALL_BATCH = 64
 
 
 def _traced_peak_bytes(fn) -> Tuple[int, object]:
@@ -193,31 +204,30 @@ def _traced_peak_bytes(fn) -> Tuple[int, object]:
 
 
 def measure_peak_memory(seed: int = 29, dim: int = 64) -> dict:
-    """Peak allocation of fused vs materializing evaluation, ranks asserted
-    identical.  The materializing path holds a full ``(batch, |E|)`` float64
-    score matrix per side; the fused path streams ``score_block_budget``-sized
-    blocks and keeps only integer counts, so its peak must come in below."""
+    """Peak allocation at the default vs a small ``batch_size``, ranks
+    asserted identical.  Each chunk of ``batch_size`` unique queries is one
+    ``(batch_size, |E|)`` score block, so the small batch must peak below."""
     dataset = fb15k_shaped_dataset(seed)
     model = make_model(
         "DistMult", dataset.num_entities, dataset.num_relations, ModelConfig(dim=dim, seed=seed)
     )
     model.train_mode(False)
-    evaluator = LinkPredictionEvaluator(dataset)
+    default = LinkPredictionEvaluator(dataset)
+    small = LinkPredictionEvaluator(dataset, options=EvalOptions(batch_size=MEMORY_SMALL_BATCH))
 
-    evaluator.evaluate(model)  # warm caches so neither trace pays import costs
-    materializing_peak, reference = _traced_peak_bytes(lambda: evaluator.evaluate(model))
-    fused_peak, fused = _traced_peak_bytes(
-        lambda: evaluator.evaluate(model, score_block_budget=MEMORY_FUSED_BUDGET)
-    )
-    _assert_identical(reference, fused, "fused vs materializing (memory)")
+    default.evaluate(model)  # warm caches so neither trace pays import costs
+    default_peak, reference = _traced_peak_bytes(lambda: default.evaluate(model))
+    small_peak, outcome = _traced_peak_bytes(lambda: small.evaluate(model))
+    _assert_identical(reference, outcome, "small vs default batch (memory)")
 
     return {
         "entities": dataset.num_entities,
         "test_triples": len(dataset.test),
-        "score_block_budget": MEMORY_FUSED_BUDGET,
-        "materializing_peak_bytes": materializing_peak,
-        "fused_peak_bytes": fused_peak,
-        "fused_peak_fraction": fused_peak / materializing_peak,
+        "default_batch_size": default.eval_batch_size,
+        "small_batch_size": MEMORY_SMALL_BATCH,
+        "default_peak_bytes": default_peak,
+        "small_batch_peak_bytes": small_peak,
+        "small_batch_peak_fraction": small_peak / default_peak,
     }
 
 
@@ -263,11 +273,11 @@ def build_report() -> Tuple[dict, bool]:
             else "platform has no multiprocessing start method"
         )
     memory_gate = {
-        "name": "fused_peak_below_materializing",
+        "name": "small_batch_peak_below_default",
         "threshold": 1.0,
-        "value": memory["fused_peak_fraction"],
+        "value": memory["small_batch_peak_fraction"],
         "enforced": True,
-        "passed": memory["fused_peak_fraction"] < 1.0,
+        "passed": memory["small_batch_peak_fraction"] < 1.0,
     }
     report = {
         "benchmark": "eval_throughput",
@@ -294,11 +304,13 @@ def _print_report(report: dict) -> None:
     print()
     memory = report["peak_memory"]
     print(
-        f"{'materializing peak':>32}: {memory['materializing_peak_bytes'] / 1e6:,.1f} MB"
+        f"{'peak at batch_size=' + str(memory['default_batch_size']):>32}: "
+        f"{memory['default_peak_bytes'] / 1e6:,.1f} MB"
     )
     print(
-        f"{'fused peak':>32}: {memory['fused_peak_bytes'] / 1e6:,.1f} MB "
-        f"({memory['fused_peak_fraction']:.2f}x, budget {memory['score_block_budget']})"
+        f"{'peak at batch_size=' + str(memory['small_batch_size']):>32}: "
+        f"{memory['small_batch_peak_bytes'] / 1e6:,.1f} MB "
+        f"({memory['small_batch_peak_fraction']:.2f}x)"
     )
     print()
     for gate in report["gates"]:
@@ -327,9 +339,9 @@ def test_sharded_sweep_is_bit_identical():
     assert _speedup_at(sweep, 2) is not None
 
 
-def test_fused_evaluation_peaks_below_materializing():
+def test_small_batch_peaks_below_default():
     memory = measure_peak_memory()
-    assert memory["fused_peak_bytes"] < memory["materializing_peak_bytes"], memory
+    assert memory["small_batch_peak_bytes"] < memory["default_peak_bytes"], memory
 
 
 if __name__ == "__main__":

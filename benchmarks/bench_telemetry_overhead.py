@@ -99,7 +99,7 @@ def ranking_workload(seed: int = 31) -> Tuple[object, List[ShardEntry]]:
 
 
 def _ranks_baseline(scorer, entries) -> Tuple[np.ndarray, np.ndarray]:
-    return rank_shard(scorer, entries, "tail", {}, EVAL_BATCH_SIZE, None)
+    return rank_shard(scorer, entries, "tail", {}, EVAL_BATCH_SIZE)
 
 
 def _ranks_instrumented(scorer, entries, enabled: bool) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,26 +1,21 @@
-"""Evaluation options: one schema-derived dataclass instead of a keyword pile.
+"""Evaluation options: one schema-derived dataclass for how an evaluation runs.
 
-Historically :class:`repro.eval.LinkPredictionEvaluator` and
-:func:`repro.eval.evaluate_model` each grew one keyword per evaluation knob
-(batch size, workers, shard size, backend, dtype, block budget, …) and the
-two surfaces had to be kept in sync by hand.  :class:`EvalOptions` collapses
-that surface into a single value object whose fields mirror the
-``evaluation`` section of the knob schema (:mod:`repro.api.schema`) —
-name-for-name, default-for-default — plus the handful of engine-level extras
-that are not experiment knobs (currently ``mp_start_method``).
-
-The old keywords keep working through a deprecation shim
-(:meth:`EvalOptions.from_legacy_kwargs`); a regression test asserts the
-schema ↔ dataclass field sync in both directions, so a knob added to the
-schema without a matching field here (or vice versa) fails CI.
+:class:`EvalOptions` is the whole knob surface of
+:class:`repro.eval.LinkPredictionEvaluator` and
+:func:`repro.eval.evaluate_model`; there is no per-knob keyword surface.  Its
+fields mirror the ``evaluation`` section of the knob schema
+(:mod:`repro.api.schema`) — name-for-name, default-for-default — plus the
+engine-level extras that are not experiment knobs (currently
+``mp_start_method``).  A regression test asserts the schema ↔ dataclass
+field sync in both directions, so a knob added to the schema without a
+matching field here (or vice versa) fails CI.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from . import schema
 
@@ -28,17 +23,6 @@ from . import schema
 #: knobs (engine-level plumbing, never part of an experiment declaration).
 #: The schema-sync regression test allows exactly these extras.
 NON_SCHEMA_FIELDS = ("mp_start_method",)
-
-#: Legacy evaluator keyword -> ``EvalOptions`` field.
-LEGACY_KEYWORDS: Dict[str, str] = {
-    "eval_batch_size": "batch_size",
-    "n_workers": "workers",
-    "shard_size": "shard_size",
-    "mp_start_method": "mp_start_method",
-    "backend": "backend",
-    "eval_dtype": "eval_dtype",
-    "score_block_budget": "score_block_budget",
-}
 
 
 @dataclass(frozen=True)
@@ -50,54 +34,20 @@ class EvalOptions:
     file's ``[evaluation]`` table.
     """
 
-    #: Unique queries per batched scorer call (bounds the (B, E) score matrix).
+    #: Unique queries per batch scorer call (bounds the (B, E) score matrix).
     batch_size: int = schema.EVALUATION_DEFAULTS["batch_size"]
     #: Worker processes for sharded evaluation; 1 = exact in-process path.
     workers: int = schema.EVALUATION_DEFAULTS["workers"]
     #: Queries per shard (None = one balanced shard per worker).
     shard_size: Optional[int] = schema.EVALUATION_DEFAULTS["shard_size"]
-    #: Array backend the batched score kernels compute on.
+    #: Array backend the batch score kernels compute on.
     backend: str = schema.EVALUATION_DEFAULTS["backend"]
     #: Candidate-scoring dtype (fp64 = the bit-identity reference).
     eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
-    #: Max elements of a resident score block (enables the fused rank path).
-    score_block_budget: Optional[int] = schema.EVALUATION_DEFAULTS["score_block_budget"]
     #: Multiprocessing start method override (None = platform best).
     mp_start_method: Optional[str] = None
 
     # -- construction ------------------------------------------------------
-    @classmethod
-    def from_legacy_kwargs(
-        cls,
-        legacy: Dict[str, Any],
-        base: Optional["EvalOptions"] = None,
-        owner: str = "LinkPredictionEvaluator",
-    ) -> "EvalOptions":
-        """Fold deprecated per-knob keywords into an :class:`EvalOptions`.
-
-        Unknown keywords raise :class:`TypeError` (they were never accepted);
-        known ones emit a :class:`DeprecationWarning` naming the replacement
-        field and override ``base``.
-        """
-        unknown = sorted(set(legacy) - set(LEGACY_KEYWORDS))
-        if unknown:
-            raise TypeError(
-                f"{owner} got unexpected keyword argument(s) {', '.join(unknown)}; "
-                f"evaluation knobs are EvalOptions fields: "
-                + ", ".join(field.name for field in dataclasses.fields(cls))
-            )
-        replacements = ", ".join(
-            f"{keyword}= -> EvalOptions.{LEGACY_KEYWORDS[keyword]}" for keyword in sorted(legacy)
-        )
-        warnings.warn(
-            f"passing evaluation knobs to {owner} as keywords is deprecated; "
-            f"pass options=EvalOptions(...) instead ({replacements})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        values = {LEGACY_KEYWORDS[keyword]: value for keyword, value in legacy.items()}
-        return dataclasses.replace(base or cls(), **values)
-
     @classmethod
     def from_experiment_config(cls, config: Any) -> "EvalOptions":
         """The options an :class:`ExperimentConfig` (or spec section) declares."""
@@ -107,7 +57,6 @@ class EvalOptions:
             shard_size=config.eval_shard_size,
             backend=getattr(config, "eval_backend", schema.EVALUATION_DEFAULTS["backend"]),
             eval_dtype=getattr(config, "eval_dtype", schema.EVALUATION_DEFAULTS["eval_dtype"]),
-            score_block_budget=getattr(config, "score_block_budget", None),
         )
 
     # -- validation / normalization ----------------------------------------
@@ -150,9 +99,4 @@ class EvalOptions:
             batch_size=max(1, int(self.batch_size)),
             workers=max(1, int(self.workers)),
             shard_size=None if self.shard_size is None else max(1, int(self.shard_size)),
-            score_block_budget=(
-                None
-                if self.score_block_budget is None
-                else max(1, int(self.score_block_budget))
-            ),
         )

@@ -294,7 +294,7 @@ EVALUATION = Section(
     (
         Knob(
             "batch_size", int, 256,
-            "unique link-prediction queries scored per batched evaluator call",
+            "unique link-prediction queries scored per batch evaluator call",
             minimum=1, flag="--eval-batch-size",
         ),
         Knob(
@@ -310,7 +310,7 @@ EVALUATION = Section(
         ),
         Knob(
             "backend", str, "numpy",
-            "array backend the batched score kernels compute on "
+            "array backend the batch score kernels compute on "
             "('auto' picks the first available accelerator, falling back to numpy)",
             choices=BACKEND_CHOICES, flag="--eval-backend",
         ),
@@ -319,13 +319,6 @@ EVALUATION = Section(
             "dtype of candidate scoring (fp64 = bit-identity reference; "
             "fp32/fp16 trade precision for throughput and memory)",
             choices=EVAL_DTYPE_CHOICES,
-        ),
-        Knob(
-            "score_block_budget", int, None,
-            "max elements of a resident score block; enables the fused "
-            "score+rank path, which never materializes the full (B, E) score "
-            "matrix (ranks are bit-identical at any budget)",
-            optional=True, minimum=1,
         ),
     ),
 )

@@ -179,9 +179,9 @@ class Query:
     # -- scoring-key views ---------------------------------------------------
     @property
     def score_key(self) -> Tuple[str, int, int]:
-        """Cache/scoring identity: side plus the batched contract's argument pair.
+        """Cache/scoring identity: side plus the batch contract's argument pair.
 
-        The pair is in the batched methods' argument order — ``(head,
+        The pair is in the batch methods' argument order — ``(head,
         relation)`` on the tail side, ``(relation, tail)`` on the head side —
         matching the evaluator's deduplication keys.
         """

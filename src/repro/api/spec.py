@@ -158,7 +158,6 @@ class EvaluationSpec:
     shard_size: Optional[int] = None
     backend: str = schema.EVALUATION_DEFAULTS["backend"]
     eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
-    score_block_budget: Optional[int] = None
 
 
 @dataclass
@@ -387,7 +386,6 @@ def _experiment_config_kwargs(merged: Dict[str, Dict[str, Any]]) -> Dict[str, An
         eval_shard_size=evaluation["shard_size"],
         eval_backend=evaluation["backend"],
         eval_dtype=evaluation["eval_dtype"],
-        score_block_budget=evaluation["score_block_budget"],
         ingest_chunk_size=ingest["chunk_size"],
         ingest_max_queue_chunks=ingest["max_queue_chunks"],
         ingest_fused=ingest["fused"],

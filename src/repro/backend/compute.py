@@ -134,7 +134,7 @@ class ScoreComputeMixin:
     _score_dtype_name: str = "fp64"
 
     def set_score_backend(self, backend: Any = "numpy", eval_dtype: str = "fp64") -> None:
-        """Select the array backend and dtype used by the batched score kernels."""
+        """Select the array backend and dtype used by the batch score kernels."""
         self._score_backend_name = getattr(backend, "name", None) or str(backend)
         self._score_dtype_name = canonical_dtype(eval_dtype)
         self.__dict__["_score_compute"] = None

@@ -157,7 +157,7 @@ class CartesianProductPredictor(ScoreComputeMixin):
 
     # -- scoring interface (mirrors KGEModel) ------------------------------------------
     # The candidate scores depend only on the relation (never on the anchor
-    # entity), so within one batched call each relation's row is built once
+    # entity), so within one batch call each relation's row is built once
     # and shared by every query on it.  Rows are not retained across calls:
     # a dense float64 row per relation per side would pin hundreds of MB on
     # FB15k-scale relation counts for no recurring benefit.

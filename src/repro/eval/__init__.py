@@ -18,7 +18,6 @@ from .ranking import (
 )
 from .sharding import (
     evaluate_shards,
-    fused_rank_row,
     multiprocessing_available,
     plan_shards,
     rank_shard,
@@ -45,7 +44,6 @@ __all__ = [
     "LinkPredictionEvaluator",
     "evaluate_model",
     "evaluate_shards",
-    "fused_rank_row",
     "multiprocessing_available",
     "plan_shards",
     "rank_shard",

@@ -1,4 +1,4 @@
-"""The link-prediction ranking protocol (Section 3.2 of the paper), batched.
+"""The link-prediction ranking protocol (Section 3.2 of the paper), in query batches.
 
 For every test triple ``(h, r, t)`` the evaluator ranks ``t`` against every
 entity as a candidate tail of ``(h, r, ?)`` and ``h`` against every entity as
@@ -15,33 +15,33 @@ rule-based and Cartesian-product predictors, which assign identical scores to
 many candidates; optimistic tie-breaking would inflate their accuracy and
 pessimistic tie-breaking would unfairly punish them.
 
-The evaluator runs the protocol **batched**:
+The evaluator runs the protocol in **query batches**:
 
 * test queries are deduplicated by ``(h, r)`` (tail side) / ``(r, t)`` (head
   side), so each unique query is scored exactly once per run, however many
   test triples share it;
 * unique queries are streamed through the scorer's
-  ``score_tails_batch`` / ``score_heads_batch`` contract in configurable
-  chunks (``eval_batch_size``), keeping the ``(B, E)`` score matrices
-  memory-bounded on FB15k-scale runs — scorers without the batched contract
-  transparently fall back to per-query ``score_all_*`` calls;
-* raw and filtered mean-tie ranks are computed from vectorized comparison
-  counts, using precomputed flat index arrays of known completions per query
-  instead of per-triple boolean-mask copies.
+  ``score_tails_batch`` / ``score_heads_batch`` contract in chunks of
+  ``evaluation.batch_size``; each chunk is one ``(B, E)`` score block that
+  stays on the scorer's backend, so peak ranking memory is about
+  ``B × E`` scores — scorers without the batch contract transparently fall
+  back to per-query ``score_all_*`` calls;
+* raw and filtered mean-tie ranks are computed from the backend's exact
+  comparison counts, using precomputed flat index arrays of known
+  completions per query instead of per-triple boolean-mask copies.
 
 Rank extraction is exact integer comparison counting, so given equal score
-vectors the batched path agrees bit-for-bit with the per-triple protocol.
-The original per-triple protocol — including the models' seed scoring
-semantics — is preserved behind ``evaluate(..., batched=False)``, and the
-regression suite asserts rank identity between the two paths for every
-scorer family.
+vectors the ranks agree bit-for-bit with the per-triple protocol
+(one scoring call and one masked copy per triple).  The test suite keeps that
+protocol as an oracle (``tests/eval/ranking_oracle.py``) and asserts rank
+identity against it for every scorer family.
 
-Because unique queries are fully independent, the batched path also runs
-**sharded across worker processes** (``n_workers >= 2``): the unique-query
+Because unique queries are fully independent, the evaluation also runs
+**sharded across worker processes** (``workers >= 2``): the unique-query
 order is partitioned into contiguous shards, workers rank each shard with the
 very same kernel the in-process path uses, and the per-shard rank arrays are
 merged back deterministically — see :mod:`repro.eval.sharding`.  Metrics are
-bit-identical to the single-process batched path at any worker count.
+bit-identical to the single-process path at any worker count.
 """
 
 from __future__ import annotations
@@ -58,20 +58,16 @@ from ..kg.triples import Triple, TripleSet
 from .metrics import MetricPair, RankingMetrics, metrics_from_rank_pairs
 from .sharding import ShardEntry, evaluate_shards
 
-#: Unique queries scored per batched scorer call; bounds the (B, E) score
+#: Unique queries scored per batch scorer call; bounds the (B, E) score
 #: matrix so large-scale evaluations stay memory-bounded.  The canonical
 #: value lives in the knob schema (``evaluation.batch_size``).
 DEFAULT_EVAL_BATCH_SIZE = EVALUATION_DEFAULTS["batch_size"]
-
-#: Sentinel distinguishing "use the evaluator-level knob" from an explicit
-#: ``None`` (= disable the fused path) in :meth:`LinkPredictionEvaluator.evaluate`.
-_UNSET = object()
 
 
 class CandidateScorer(Protocol):
     """What the evaluator needs from a model (embedding, rule-based or baseline).
 
-    Scorers may additionally provide the batched contract
+    Scorers may additionally provide the batch contract
     (``score_tails_batch(heads, relations)`` / ``score_heads_batch(relations,
     tails)`` returning ``(B, E)`` matrices); the evaluator uses it when
     present and falls back to these per-query methods otherwise.
@@ -158,19 +154,8 @@ class EvaluationResult:
         return row
 
 
-def _rank_with_mean_ties(scores: np.ndarray, target_index: int, mask: np.ndarray) -> float:
-    """1-based rank of ``target_index`` among candidates where ``mask`` is True."""
-    target_score = scores[target_index]
-    considered = scores[mask]
-    higher = float(np.sum(considered > target_score))
-    tied = float(np.sum(considered == target_score))
-    # The target itself is always inside ``considered`` — exclude it from the tie count.
-    tied_others = max(tied - 1.0, 0.0)
-    return 1.0 + higher + tied_others / 2.0
-
-
 class LinkPredictionEvaluator:
-    """Runs the (batched) ranking protocol for any scorer on a dataset's test split."""
+    """Runs the ranking protocol for any scorer on a dataset's test split."""
 
     def __init__(
         self,
@@ -179,34 +164,25 @@ class LinkPredictionEvaluator:
         extra_ground_truth: Optional[TripleSet] = None,
         options: Optional[EvalOptions] = None,
         known_index: Optional[Any] = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            # Pre-EvalOptions keyword surface (eval_batch_size=, n_workers=,
-            # ...): folded in with a DeprecationWarning; unknown keywords
-            # still raise TypeError as they always did.
-            options = EvalOptions.from_legacy_kwargs(legacy, base=options)
         options = (options or EvalOptions()).normalized()
         #: How this evaluation runs — the schema-derived option object.
         self.options = options
         self.dataset = dataset
-        #: Unique queries per batched scorer call (bounds the (B, E) matrix).
+        #: Unique queries per batch scorer call (bounds the (B, E) matrix).
         self.eval_batch_size = options.batch_size
-        #: Worker processes for the sharded batched path; ``1`` keeps the
+        #: Worker processes for the sharded path; ``1`` keeps the
         #: exact in-process evaluation (no pool is ever created).
         self.n_workers = options.workers
         #: Queries per shard (``None`` = one balanced shard per worker).
         self.shard_size = options.shard_size
         #: Multiprocessing start method override (``None`` = platform best).
         self.mp_start_method = options.mp_start_method
-        #: Array backend + dtype the scorer's batched kernels compute on; the
+        #: Array backend + dtype the scorer's batch kernels compute on; the
         #: defaults are the bit-identity reference configuration.  Applied to
         #: scorers exposing ``set_score_backend`` at ``evaluate()`` time.
         self.backend = options.backend
         self.eval_dtype = options.eval_dtype
-        #: Max elements of a resident score block; a value enables the fused
-        #: score+rank path (never materializes the (B, E) host matrix).
-        self.score_block_budget = options.score_block_budget
         if known_index is None and filter_triples is None and extra_ground_truth is None:
             # Fused-ingest datasets carry the index grown during the stream
             # (see repro.eval.sharding.StreamingKnownIndexBuilder).
@@ -236,7 +212,7 @@ class LinkPredictionEvaluator:
             for query, values in known_head_sets.items()
         }
 
-    # -- batched ranking internals ----------------------------------------------------
+    # -- ranking internals ------------------------------------------------------------
     def _configure_scorer(self, scorer: CandidateScorer) -> None:
         """Apply the evaluator's backend/dtype selection to the scorer.
 
@@ -310,38 +286,21 @@ class LinkPredictionEvaluator:
         test_triples: Optional[Sequence[Triple]] = None,
         model_name: Optional[str] = None,
         sides: Tuple[str, ...] = ("head", "tail"),
-        batched: bool = True,
-        eval_batch_size: Optional[int] = None,
-        n_workers: Optional[int] = None,
-        shard_size: Optional[int] = None,
-        score_block_budget: object = _UNSET,
     ) -> EvaluationResult:
         """Rank every test triple on the requested sides.
 
-        ``batched=False`` selects the per-triple reference protocol (one
-        scoring call and one mask copy per triple) kept for regression tests
-        and throughput comparisons.  ``n_workers`` / ``shard_size`` /
-        ``score_block_budget`` override the evaluator-level knobs for this
-        run; ``n_workers >= 2`` shards the unique-query order across worker
-        processes with a deterministic merge (bit-identical ranks at any
-        worker count), and a ``score_block_budget`` enables the fused
-        score+rank path (bit-identical ranks at any budget).
+        Runs with the evaluator's :class:`EvalOptions`; ``workers >= 2``
+        shards the unique-query order across worker processes with a
+        deterministic merge (bit-identical ranks at any worker count or
+        batch size).
         """
+        unknown = sorted(set(sides) - {"head", "tail"})
+        if unknown:
+            raise ValueError(f"sides must be 'head' and/or 'tail', got {unknown}")
         triples = list(test_triples) if test_triples is not None else list(self.dataset.test)
         name = model_name or getattr(scorer, "name", type(scorer).__name__)
         result = EvaluationResult(model_name=name, dataset_name=self.dataset.name)
         self._configure_scorer(scorer)
-        if not batched:
-            return self._evaluate_per_triple(scorer, triples, result, sides)
-        batch_size = self.eval_batch_size if eval_batch_size is None else max(1, int(eval_batch_size))
-        workers = self.n_workers if n_workers is None else max(1, int(n_workers))
-        shards = self.shard_size if shard_size is None else max(1, int(shard_size))
-        if score_block_budget is _UNSET:
-            block_budget = self.score_block_budget
-        else:
-            block_budget = (
-                None if score_block_budget is None else max(1, int(score_block_budget))  # type: ignore[arg-type]
-            )
         work: Dict[str, List[ShardEntry]] = {}
         positions: Dict[str, List[List[int]]] = {}
         for side in ("tail", "head"):
@@ -352,8 +311,8 @@ class LinkPredictionEvaluator:
         # evaluate_shards (no pool is ever created), so both worker counts
         # share one instrumented entry point.
         side_ranks = evaluate_shards(
-            scorer, work, known, workers, shards, batch_size,
-            self.mp_start_method, block_budget,
+            scorer, work, known, self.n_workers, self.shard_size, self.eval_batch_size,
+            self.mp_start_method,
         )
         scattered = {
             side: self._scatter_ranks(side_ranks[side], positions[side], len(triples))
@@ -374,37 +333,6 @@ class LinkPredictionEvaluator:
                 )
         return result
 
-    def _evaluate_per_triple(
-        self,
-        scorer: CandidateScorer,
-        triples: Sequence[Triple],
-        result: EvaluationResult,
-        sides: Tuple[str, ...],
-    ) -> EvaluationResult:
-        """The original one-query-per-triple protocol (reference implementation)."""
-        num_entities = self.dataset.num_entities
-        all_candidates = np.ones(num_entities, dtype=bool)
-        for h, r, t in triples:
-            if "tail" in sides:
-                scores = np.asarray(scorer.score_all_tails(h, r), dtype=np.float64)
-                raw = _rank_with_mean_ties(scores, t, all_candidates)
-                mask = all_candidates.copy()
-                for known_tail in self._known_tails.get((h, r), ()):
-                    if known_tail != t:
-                        mask[known_tail] = False
-                filtered = _rank_with_mean_ties(scores, t, mask)
-                result.records.append(RankRecord(h, r, t, "tail", raw, filtered))
-            if "head" in sides:
-                scores = np.asarray(scorer.score_all_heads(r, t), dtype=np.float64)
-                raw = _rank_with_mean_ties(scores, h, all_candidates)
-                mask = all_candidates.copy()
-                for known_head in self._known_heads.get((r, t), ()):
-                    if known_head != h:
-                        mask[known_head] = False
-                filtered = _rank_with_mean_ties(scores, h, mask)
-                result.records.append(RankRecord(h, r, t, "head", raw, filtered))
-        return result
-
 
 def evaluate_model(
     scorer: CandidateScorer,
@@ -413,13 +341,8 @@ def evaluate_model(
     extra_ground_truth: Optional[TripleSet] = None,
     model_name: Optional[str] = None,
     options: Optional[EvalOptions] = None,
-    **legacy,
 ) -> EvaluationResult:
     """Convenience wrapper constructing the evaluator with default filtering."""
-    if legacy:
-        options = EvalOptions.from_legacy_kwargs(
-            legacy, base=options, owner="evaluate_model"
-        )
     evaluator = LinkPredictionEvaluator(
         dataset,
         extra_ground_truth=extra_ground_truth,

@@ -1,6 +1,6 @@
 """Sharded multi-process link-prediction evaluation.
 
-The batched ranking protocol reduces evaluation to scoring a stream of
+The ranking protocol reduces evaluation to scoring a stream of
 deduplicated ``(h, r)`` / ``(r, t)`` queries, and every query's raw and
 filtered mean-tie ranks depend only on its own ``(E,)`` score row, its target
 entities and its known-completion filter — queries are fully independent
@@ -26,16 +26,7 @@ Design constraints, in decreasing order of importance:
   subsystem works under ``fork``, ``forkserver`` and ``spawn`` alike.
 * **Graceful fallback.** ``n_workers=1`` (or an empty workload, or a platform
   without multiprocessing start methods) never creates a pool — it is the
-  exact in-process batched path.
-
-When a ``score_block_budget`` is set, :func:`rank_shard` switches to the
-**fused score+rank path**: each chunk of unique queries is scored in row
-blocks small enough that ``rows × num_entities`` stays under the budget, and
-each block is immediately reduced to per-target comparison counts through the
-backend's ``compare_counts`` kernel — the full ``(B, E)`` score matrix is
-never materialized on the host when only rank counts are needed.  Comparison
-counts are integers, so the fused ranks are bit-identical to the
-materializing path at any block budget.
+  exact in-process path.
 """
 
 from __future__ import annotations
@@ -181,121 +172,66 @@ def plan_shards(
 
 
 # ---------------------------------------------------------------------------- ranking kernels
-def _scores_as_numpy(scorer, scores) -> np.ndarray:
-    """A batched kernel's output back on the host as float64.
-
-    Kernels return arrays on the scorer's configured score backend; the
-    materializing rank path compares on the host, so device arrays come back
-    through the scorer's compute context (identity on numpy/fp64).
-    """
-    compute = getattr(scorer, "score_compute", None)
-    if compute is not None:
-        scores = compute.as_numpy(scores)
-    return np.asarray(scores, dtype=np.float64)
-
-
-def _score_backend(scorer) -> ArrayBackend:
-    """The backend owning a scorer's batched kernel outputs (numpy if unset)."""
+def score_backend(scorer) -> ArrayBackend:
+    """The backend owning a scorer's batch kernel outputs (numpy if unset)."""
     compute = getattr(scorer, "score_compute", None)
     return compute.backend if compute is not None else get_backend("numpy")
 
 
-def score_query_chunk(scorer, queries: Sequence[Query], side: str) -> np.ndarray:
-    """``(len(queries), E)`` score matrix, via the batched contract when available.
+def score_query_chunk(scorer, queries: Sequence[Query], side: str):
+    """``(len(queries), E)`` score block, resident on :func:`score_backend`.
 
-    Query tuples are already in the batched methods' argument order:
+    Query tuples are already in the batch methods' argument order:
     ``(head, relation)`` for the tail side, ``(relation, tail)`` for the
-    head side.  Scorers without the batched contract fall back to one
-    ``score_all_*`` call per query.
+    head side.  Scorers without the batch contract fall back to one
+    ``score_all_*`` call per query, and the stacked host rows are re-wrapped
+    by the backend (a no-op on numpy).  Callers that need host rows convert
+    with ``score_backend(scorer).to_numpy``.
     """
+    backend = score_backend(scorer)
     batch_fn = getattr(
         scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
     )
     if batch_fn is not None:
         first = np.fromiter((a for a, _ in queries), dtype=np.int64, count=len(queries))
         second = np.fromiter((b for _, b in queries), dtype=np.int64, count=len(queries))
-        return _scores_as_numpy(scorer, batch_fn(first, second))
+        return backend.asarray(batch_fn(first, second))
     single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
-    return np.stack([np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries])
-
-
-def _score_query_block(scorer, queries: Sequence[Query], side: str):
-    """Backend-resident ``(len(queries), E)`` score block (no host transfer).
-
-    The fused rank path keeps kernel outputs on the scorer's backend and
-    reduces them to comparison counts there; only the counts travel to the
-    host.  Scorers without the batched contract still produce host rows, which
-    the backend re-wraps (a no-op on numpy).
-    """
-    backend = _score_backend(scorer)
-    batch_fn = getattr(
-        scorer, "score_tails_batch" if side == "tail" else "score_heads_batch", None
+    return backend.asarray(
+        np.stack([np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries])
     )
-    if batch_fn is not None:
-        first = np.fromiter((a for a, _ in queries), dtype=np.int64, count=len(queries))
-        second = np.fromiter((b for _, b in queries), dtype=np.int64, count=len(queries))
-        return backend.asarray(batch_fn(first, second)), backend
-    single_fn = scorer.score_all_tails if side == "tail" else scorer.score_all_heads
-    rows = np.stack([np.asarray(single_fn(a, b), dtype=np.float64) for a, b in queries])
-    return backend.asarray(rows), backend
 
 
-def fused_rank_row(
-    backend: ArrayBackend,
-    row,
+def mean_tie_ranks(
+    scores,
     targets: np.ndarray,
     known: Optional[np.ndarray],
+    backend: Optional[ArrayBackend] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered mean-tie ranks of ``targets`` from comparison counts.
+    """Raw and filtered mean-tie ranks of ``targets`` within one score row.
 
-    ``row`` stays on ``backend``; the ``compare_counts`` kernel reduces it to
-    host integer counts, and the rank arithmetic below is the float64
-    expression of :func:`mean_tie_ranks` applied to those counts — identical
-    results, without ever materializing the score row on the host.
+    ``scores`` stays on ``backend`` (numpy by default): the backend's
+    ``compare_counts`` kernel reduces it to host integer counts, and only
+    those cross to the host.  All quantities are exact comparison counts, so
+    the result is bit-identical to the per-triple masked computation
+    regardless of batching, sharding or where the row lives.
     """
-    target_scores = backend.take_rows(row, backend.index_array(targets))
-    greater, equal = backend.compare_counts(row, target_scores)
+    backend = backend or get_backend("numpy")
+    target_scores = backend.take_rows(scores, backend.index_array(targets))   # (M,)
+    greater, equal = backend.compare_counts(scores, target_scores)
     greater = greater.astype(np.float64)
     tied_others = np.maximum(equal.astype(np.float64) - 1.0, 0.0)
     raw = 1.0 + greater + tied_others / 2.0
     if known is None or not len(known):
         return raw, raw.copy()
-    known_scores = backend.take_rows(row, backend.index_array(known))
+    known_scores = backend.take_rows(scores, backend.index_array(known))      # (K,)
     known_greater, known_equal = backend.compare_counts(known_scores, target_scores)
-    contains_target = (known[None, :] == targets[:, None]).sum(axis=1)
-    # Same add-back as mean_tie_ranks: removing known\{target} never removes
-    # the target's own equality hit.
-    filtered_greater = greater - known_greater
-    filtered_equal = equal - (known_equal - contains_target)
-    filtered_tied_others = np.maximum(filtered_equal.astype(np.float64) - 1.0, 0.0)
-    filtered = 1.0 + filtered_greater + filtered_tied_others / 2.0
-    return raw, filtered
-
-
-def mean_tie_ranks(
-    scores: np.ndarray, targets: np.ndarray, known: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw and filtered mean-tie ranks of ``targets`` within one score row.
-
-    All quantities are exact comparison counts, so the result is bit-identical
-    to the per-triple masked computation regardless of batching or sharding.
-    """
-    target_scores = scores[targets]                                    # (M,)
-    greater = (scores[None, :] > target_scores[:, None]).sum(axis=1).astype(np.float64)
-    equal = (scores[None, :] == target_scores[:, None]).sum(axis=1).astype(np.float64)
-    tied_others = np.maximum(equal - 1.0, 0.0)
-    raw = 1.0 + greater + tied_others / 2.0
-    if known is None or not len(known):
-        return raw, raw.copy()
-    known_scores = scores[known]                                       # (K,)
-    known_greater = (known_scores[None, :] > target_scores[:, None]).sum(axis=1)
-    known_equal = (known_scores[None, :] == target_scores[:, None]).sum(axis=1)
     contains_target = (known[None, :] == targets[:, None]).sum(axis=1)
     # Removing known\{target} cannot remove the target itself: its own
     # equality hit is added back before re-deriving the tie count.
     filtered_greater = greater - known_greater
     filtered_equal = equal - (known_equal - contains_target)
-    filtered_tied_others = np.maximum(filtered_equal - 1.0, 0.0)
+    filtered_tied_others = np.maximum(filtered_equal.astype(np.float64) - 1.0, 0.0)
     filtered = 1.0 + filtered_greater + filtered_tied_others / 2.0
     return raw, filtered
 
@@ -306,52 +242,26 @@ def rank_shard(
     side: str,
     known_index: Dict[Query, np.ndarray],
     eval_batch_size: int,
-    score_block_budget: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Raw/filtered ranks of one shard, concatenated in entry order.
 
     Each entry contributes ``len(targets)`` consecutive ranks.  This is the
     single ranking implementation: the in-process path runs it on the whole
-    query order, workers run it on their shard.
-
-    ``score_block_budget`` (max elements of a resident score block) selects
-    the fused score+rank path: each chunk is scored in row blocks of at most
-    ``budget // num_entities`` queries, and every block is reduced to
-    comparison counts on the scorer's backend without a host ``(B, E)``
-    matrix.  Counting is exact, so ranks are bit-identical to the
-    materializing path at any budget.  Scorers that do not expose
-    ``num_entities`` keep the materializing path.
+    query order, workers run it on their shard.  Each chunk of
+    ``eval_batch_size`` unique queries is scored as one block that stays on
+    the scorer's backend, so peak ranking memory is about
+    ``eval_batch_size × num_entities`` scores.
     """
     eval_batch_size = max(1, int(eval_batch_size))
-    num_entities = getattr(scorer, "num_entities", None)
-    fused = score_block_budget is not None and num_entities is not None
-    if fused:
-        # Late import: models.trainer imports eval.ranking, so a module-level
-        # import here would be circular.
-        from ..models.base import iter_row_slices
+    backend = score_backend(scorer)
     raw_parts: List[np.ndarray] = []
     filtered_parts: List[np.ndarray] = []
     for start in range(0, len(entries), eval_batch_size):
-        chunk = list(entries[start:start + eval_batch_size])
-        if fused:
-            for rows in iter_row_slices(
-                len(chunk), int(num_entities), budget=max(1, int(score_block_budget))
-            ):
-                block = chunk[rows]
-                scores_block, backend = _score_query_block(
-                    scorer, [query for query, _ in block], side
-                )
-                for index, (query, targets) in enumerate(block):
-                    raw_ranks, filtered_ranks = fused_rank_row(
-                        backend, scores_block[index], targets, known_index.get(query)
-                    )
-                    raw_parts.append(raw_ranks)
-                    filtered_parts.append(filtered_ranks)
-            continue
-        score_matrix = score_query_chunk(scorer, [query for query, _ in chunk], side)
-        for scores, (query, targets) in zip(score_matrix, chunk):
+        chunk = entries[start:start + eval_batch_size]
+        block = score_query_chunk(scorer, [query for query, _ in chunk], side)
+        for row, (query, targets) in zip(block, chunk):
             raw_ranks, filtered_ranks = mean_tie_ranks(
-                scores, targets, known_index.get(query)
+                row, targets, known_index.get(query), backend
             )
             raw_parts.append(raw_ranks)
             filtered_parts.append(filtered_ranks)
@@ -380,7 +290,6 @@ def _init_worker(
     scorer,
     known: Dict[str, Dict[Query, np.ndarray]],
     eval_batch_size: int,
-    score_block_budget: Optional[int] = None,
     telemetry_enabled: bool = False,
 ) -> None:
     """Pool initializer: install the scorer and filter index once per worker."""
@@ -389,7 +298,7 @@ def _init_worker(
 
     if isinstance(scorer, ArtifactScorerRef):
         scorer = scorer.resolve()
-    _WORKER_STATE = (scorer, known, eval_batch_size, score_block_budget, telemetry_enabled)
+    _WORKER_STATE = (scorer, known, eval_batch_size, telemetry_enabled)
 
 
 def _rank_one_shard(
@@ -400,7 +309,6 @@ def _rank_one_shard(
     entries: Sequence[ShardEntry],
     known: Dict[Query, np.ndarray],
     eval_batch_size: int,
-    score_block_budget: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One shard's ranks, wrapped in the shared span/counter instrumentation.
 
@@ -411,9 +319,7 @@ def _rank_one_shard(
     with telemetry.span(
         "eval.rank_shard", side=side, shard=shard_index, entries=len(entries)
     ):
-        raw, filtered = rank_shard(
-            scorer, entries, side, known, eval_batch_size, score_block_budget
-        )
+        raw, filtered = rank_shard(scorer, entries, side, known, eval_batch_size)
     telemetry.counter("eval.shards").add(1)
     telemetry.counter("eval.entries").add(len(entries))
     telemetry.counter("eval.ranked_targets").add(len(raw))
@@ -432,12 +338,12 @@ def _rank_shard_task(
     later payload from the same worker.
     """
     assert _WORKER_STATE is not None, "worker used before initialization"
-    scorer, known, eval_batch_size, score_block_budget, telemetry_enabled = _WORKER_STATE
+    scorer, known, eval_batch_size, telemetry_enabled = _WORKER_STATE
     side, shard_index, entries = task
     with scoped(Telemetry(enabled=telemetry_enabled)) as telemetry:
         raw, filtered = _rank_one_shard(
             telemetry, scorer, side, shard_index, entries,
-            known.get(side, {}), eval_batch_size, score_block_budget,
+            known.get(side, {}), eval_batch_size,
         )
         payload = telemetry.worker_payload() if telemetry_enabled else None
     return raw, filtered, payload
@@ -451,7 +357,6 @@ def evaluate_shards(
     shard_size: Optional[int],
     eval_batch_size: int,
     start_method: Optional[str] = None,
-    score_block_budget: Optional[int] = None,
 ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """Rank every side's query order, sharded across worker processes.
 
@@ -467,8 +372,7 @@ def evaluate_shards(
     if n_workers == 1 or total_entries == 0 or not multiprocessing_available():
         return {
             side: _rank_one_shard(
-                telemetry, scorer, side, 0, entries, known.get(side, {}),
-                eval_batch_size, score_block_budget,
+                telemetry, scorer, side, 0, entries, known.get(side, {}), eval_batch_size
             )
             for side, entries in work.items()
         }
@@ -483,10 +387,7 @@ def evaluate_shards(
     with context.Pool(
         processes=processes,
         initializer=_init_worker,
-        initargs=(
-            _shippable_scorer(scorer), known, eval_batch_size, score_block_budget,
-            telemetry.enabled,
-        ),
+        initargs=(_shippable_scorer(scorer), known, eval_batch_size, telemetry.enabled),
     ) as pool:
         # Pool.map preserves task submission order: the merge below is a
         # deterministic concatenation, independent of completion order.

@@ -93,21 +93,18 @@ class ExperimentConfig:
     loss: str = TRAINING_DEFAULTS["loss"]
     margin: float = TRAINING_DEFAULTS["margin"]
     sampler: str = TRAINING_DEFAULTS["sampler"]
-    #: Unique link-prediction queries scored per batched evaluator call.
+    #: Unique link-prediction queries scored per batch evaluator call.
     eval_batch_size: int = EVALUATION_DEFAULTS["batch_size"]
     #: Worker processes for the sharded link-prediction evaluation
-    #: (``1`` = exact in-process batched path, no pool).
+    #: (``1`` = exact in-process path, no pool).
     eval_workers: int = EVALUATION_DEFAULTS["workers"]
     #: Queries per evaluation shard (``None`` = one balanced shard per worker).
     eval_shard_size: Optional[int] = EVALUATION_DEFAULTS["shard_size"]
-    #: Array backend the batched score kernels compute on ("auto" picks the
+    #: Array backend the batch score kernels compute on ("auto" picks the
     #: first available accelerator, falling back to numpy).
     eval_backend: str = EVALUATION_DEFAULTS["backend"]
     #: Candidate-scoring dtype (fp64 = bit-identity reference).
     eval_dtype: str = EVALUATION_DEFAULTS["eval_dtype"]
-    #: Max elements of a resident score block (``None`` = materialize; a value
-    #: enables the fused score+rank path, bit-identical at any budget).
-    score_block_budget: Optional[int] = EVALUATION_DEFAULTS["score_block_budget"]
     #: Labelled triples per chunk of the streaming TSV ingestion pipeline
     #: (:meth:`Workbench.ingest`).
     ingest_chunk_size: int = INGEST_DEFAULTS["chunk_size"]

@@ -452,7 +452,7 @@ class LiveDatasetMaintainer:
                 for head, relation, tail in rows:
                     # Interns every row — duplicates included — exactly like
                     # StreamingDatasetBuilder.add_chunk, so ids never depend
-                    # on how updates are batched.
+                    # on how updates are grouped.
                     encoded = vocab.encode_triple(head, relation, tail)
                     if encoded in membership:
                         report.noop_adds += 1

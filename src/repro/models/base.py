@@ -8,7 +8,7 @@ special-case a model:
   of triples; **higher means more plausible** for every model (distance-based
   models return negated distances).
 * ``score_tails_batch(heads, relations)`` / ``score_heads_batch(relations,
-  tails)`` — the **batched scoring contract**: one ``(B, E)`` matrix of
+  tails)`` — the **batch scoring contract**: one ``(B, E)`` matrix of
   candidate scores for ``B`` link-prediction queries at once.  This is the
   primary surface of the ranking protocol; every model in the zoo overrides
   both with a truly vectorized kernel, and the base class provides a
@@ -16,12 +16,12 @@ special-case a model:
   third-party scorers that only implement the single-triple contract keep
   working.
 * ``score_all_tails(h, r)`` / ``score_all_heads(r, t)`` — single-query score
-  vectors.  When a subclass ships a vectorized batched kernel these delegate
+  vectors.  When a subclass ships a vectorized batch kernel these delegate
   to it as a one-row batch (so per-query callers never pay the brute-force
   sweep twice); only scorers implementing nothing but the single-triple
   contract fall back to the original ``score_triples`` sweep.
 * ``set_score_backend(backend, eval_dtype)`` — selects the array backend and
-  dtype the batched kernels compute on (:mod:`repro.backend`); the default
+  dtype the batch kernels compute on (:mod:`repro.backend`); the default
   numpy/fp64 configuration is bit-identical to the seed implementation.
 * ``parameters()`` — the trainable :class:`~repro.autodiff.tensor.Parameter`
   objects for the optimizer.
@@ -61,7 +61,7 @@ def iter_row_slices(batch: int, row_elements: int, budget: int = 2_000_000) -> "
 
     The broadcast kernels of the distance-based models materialize a
     ``(rows, E, d)`` difference tensor; bounding it (~16 MB of float64 at the
-    default budget) keeps the batched path memory-bounded and faster than
+    default budget) keeps the batch kernels memory-bounded and faster than
     letting one huge temporary spill to DRAM.  Slicing rows never changes the
     per-row arithmetic, so results are bit-identical for any budget.
     """
@@ -201,7 +201,7 @@ class KGEModel(ScoreComputeMixin, ABC):
 
         Delegates to an overridden :meth:`score_tails_batch` as a one-row
         batch, so per-query callers of a model with a vectorized kernel never
-        pay the brute-force sweep.  Scorers without a batched kernel keep the
+        pay the brute-force sweep.  Scorers without a batch kernel keep the
         original ``score_triples_np`` sweep.
         """
         if self._overrides("score_tails_batch"):

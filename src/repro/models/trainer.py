@@ -21,7 +21,7 @@ Beyond the bare epoch loop, a run manages the full training lifecycle:
 * a **callback protocol** (:class:`TrainingCallback`: epoch begin/end, batch
   end, validation) for metrics sinks and custom schedules;
 * **periodic validation** (``validate_every``) of filtered MRR on the
-  validation split through the same batched/sharded
+  validation split through the same sharded
   :class:`~repro.eval.ranking.LinkPredictionEvaluator` used for testing;
 * **patience-based early stopping** (``patience`` validation checks without a
   new best MRR);
@@ -120,7 +120,7 @@ class TrainingConfig:
     #: stopping hands back the *best* model, not the last one).  The snapshot
     #: rides along in checkpoints, keeping resumed runs bit-identical.
     restore_best: bool = TRAINING_DEFAULTS["restore_best"]
-    #: Unique queries per batched evaluator call during validation.
+    #: Unique queries per batch evaluator call during validation.
     validation_batch_size: int = DEFAULT_EVAL_BATCH_SIZE
     #: Worker processes for the sharded validation evaluator (1 = in-process).
     validation_workers: int = 1

@@ -7,7 +7,7 @@ Three layers, each usable on its own:
   raw ``.npy`` files that load zero-copy via ``np.memmap``, shared across
   processes through the page cache.
 * :mod:`repro.serve.engine` — the asyncio :class:`QueryEngine` coalescing
-  concurrent queries into micro-batches on the batched scoring contract,
+  concurrent queries into micro-batches on the batch scoring contract,
   with a bounded :class:`ScoreCache` of hot score rows, plus the
   synchronous :class:`EngineClient` facade (which doubles as an evaluator
   scorer — the evaluation protocol running as a serving client).

@@ -1,12 +1,12 @@
 """The async micro-batching query engine behind the serving API.
 
-A :class:`QueryEngine` turns the repository's *batched scoring contract*
+A :class:`QueryEngine` turns the repository's *batch scoring contract*
 (``score_tails_batch`` / ``score_heads_batch``, the same kernels the
 evaluator streams) into a long-lived answering service for
 :class:`repro.api.Query` requests:
 
 * **Micro-batching.**  Concurrent ``submit()`` calls park on futures in a
-  pending list; the list is flushed into one batched kernel call per side
+  pending list; the list is flushed into one batch kernel call per side
   either when ``max_batch`` requests have coalesced or after ``max_delay``
   seconds, whichever comes first.  Batching is where embedding models get
   their throughput — a ``(B, E)`` kernel call amortizes the per-call
@@ -236,7 +236,7 @@ class QueryEngine:
 
     # -- micro-batch dispatch ------------------------------------------------
     def _flush(self) -> None:
-        """Score every parked request in one batched kernel call per side."""
+        """Score every parked request in one batch kernel call per side."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -280,16 +280,15 @@ class QueryEngine:
     ) -> Dict[Tuple[str, int, int], np.ndarray]:
         # Late import: eval.ranking pulls in the dataset layer; the engine
         # only needs the two pure kernels.
-        from ..eval.sharding import score_query_chunk
+        from ..eval.sharding import score_backend, score_query_chunk
 
+        to_host = score_backend(self.scorer).to_numpy
         rows: Dict[Tuple[str, int, int], np.ndarray] = {}
         for side in ("tail", "head"):
             keys = [key for key in order if key[0] == side]
             if not keys:
                 continue
-            matrix = score_query_chunk(
-                self.scorer, [(a, b) for _, a, b in keys], side
-            )
+            matrix = to_host(score_query_chunk(self.scorer, [(a, b) for _, a, b in keys], side))
             self._scored_rows += len(keys)
             get_telemetry().counter("serve.scored_rows").add(len(keys))
             for key, row in zip(keys, matrix):
@@ -350,7 +349,7 @@ class EngineClient:
     the engine exactly like concurrent coroutines.
 
     It also implements the evaluator's :class:`CandidateScorer` contract —
-    ``score_all_tails`` / ``score_all_heads`` and the batched variants — by
+    ``score_all_tails`` / ``score_all_heads`` and the batch variants — by
     reconstructing full score rows from ``k = |E|`` engine answers.  That
     makes ``evaluate_model(EngineClient(engine), ...)`` a *client of the
     serving protocol*: the regression suite runs the full evaluation through

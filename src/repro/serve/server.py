@@ -100,12 +100,26 @@ async def _send(writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
 
 
 async def start_server(
-    engine: QueryEngine, host: str = "127.0.0.1", port: int = 8642
+    engine: QueryEngine,
+    host: str = "127.0.0.1",
+    port: int = 8642,
+    connections: Optional[Dict[asyncio.Task, asyncio.StreamWriter]] = None,
 ) -> asyncio.AbstractServer:
-    """Bind and return the listening server (caller owns its lifetime)."""
+    """Bind and return the listening server (caller owns its lifetime).
+
+    ``connections``, when given, maps each open connection's handler task to
+    its writer for as long as the connection lasts, so the owner can end
+    them at shutdown (see :func:`serve_forever`).
+    """
+    registry = {} if connections is None else connections
 
     async def handler(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        await handle_connection(engine, reader, writer)
+        task = asyncio.current_task()
+        registry[task] = writer
+        try:
+            await handle_connection(engine, reader, writer)
+        finally:
+            del registry[task]
 
     return await asyncio.start_server(handler, host, port, limit=MAX_LINE_BYTES)
 
@@ -120,11 +134,24 @@ def serve_forever(
     """
 
     async def main() -> None:
-        server = await start_server(engine, host, port)
+        connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        server = await start_server(engine, host, port, connections)
         if ready is not None:
             ready(server.sockets[0].getsockname()[:2])
-        async with server:
-            await server.serve_forever()
+        try:
+            await asyncio.Event().wait()  # serve until interrupted
+        finally:
+            # Close the open connections first: each handler then reads EOF
+            # and returns normally.  Left to asyncio.run, an idle handler is
+            # cancelled inside readline(), which Python 3.11 logs as an error
+            # traceback, and Server.wait_closed() on Python 3.12+ waits for
+            # every client to disconnect, so one idle client hangs shutdown.
+            server.close()
+            for writer in connections.values():
+                writer.close()
+            if connections:
+                await asyncio.wait(list(connections))
+            await server.wait_closed()
 
     try:
         asyncio.run(main())

@@ -1,4 +1,4 @@
-"""EvalOptions: schema sync, the legacy-keyword shim, and validation.
+"""EvalOptions: schema sync, construction, and validation.
 
 The satellite's regression test lives here: the ``EvalOptions`` dataclass and
 the schema's ``evaluation`` section must agree field-for-field and
@@ -11,10 +11,9 @@ import dataclasses
 import pytest
 
 from repro.api import EvalOptions, schema
-from repro.api.options import LEGACY_KEYWORDS, NON_SCHEMA_FIELDS
+from repro.api.options import NON_SCHEMA_FIELDS
 from repro.eval import LinkPredictionEvaluator, evaluate_model
 from repro.experiments import ExperimentConfig
-from repro.models import ModelConfig, make_model
 
 
 # ------------------------------------------------------------------ schema sync
@@ -36,49 +35,15 @@ def test_every_field_is_either_a_schema_knob_or_a_declared_extra():
         )
 
 
-def test_legacy_keyword_map_targets_real_fields():
-    fields = {field.name for field in dataclasses.fields(EvalOptions)}
-    assert set(LEGACY_KEYWORDS.values()) <= fields
-
-
-# ------------------------------------------------------------------ legacy shim
-def test_legacy_keywords_warn_and_map_to_fields():
-    with pytest.warns(DeprecationWarning, match="options=EvalOptions"):
-        options = EvalOptions.from_legacy_kwargs(
-            {"eval_batch_size": 7, "n_workers": 2, "eval_dtype": "fp32"}
-        )
-    assert options.batch_size == 7
-    assert options.workers == 2
-    assert options.eval_dtype == "fp32"
-    assert options.backend == EvalOptions().backend      # untouched fields keep defaults
-
-
-def test_unknown_legacy_keyword_is_a_type_error():
-    with pytest.raises(TypeError, match="banana"):
-        EvalOptions.from_legacy_kwargs({"banana": 1})
-
-
-def test_evaluator_accepts_legacy_keywords_with_a_deprecation_warning(toy_dataset):
-    with pytest.warns(DeprecationWarning, match="eval_batch_size"):
-        evaluator = LinkPredictionEvaluator(toy_dataset, eval_batch_size=3, n_workers=1)
-    assert evaluator.options.batch_size == 3
-    assert evaluator.eval_batch_size == 3                # legacy attribute preserved
-
-
+# ------------------------------------------------------------------ keyword surface
 def test_evaluator_rejects_unknown_keywords(toy_dataset):
     with pytest.raises(TypeError, match="typo_knob"):
         LinkPredictionEvaluator(toy_dataset, typo_knob=1)
-
-
-def test_legacy_and_options_paths_produce_identical_results(toy_dataset):
-    model = make_model("DistMult", 8, 4, ModelConfig(dim=8, seed=5))
-    model.train_mode(False)
-    modern = evaluate_model(model, toy_dataset, options=EvalOptions(batch_size=3))
-    with pytest.warns(DeprecationWarning):
-        legacy = evaluate_model(model, toy_dataset, eval_batch_size=3)
-    for ours, theirs in zip(modern.records, legacy.records):
-        assert ours.raw_rank == theirs.raw_rank
-        assert ours.filtered_rank == theirs.filtered_rank
+    # Evaluation knobs are EvalOptions fields only; the old keywords are gone.
+    with pytest.raises(TypeError, match="eval_batch_size"):
+        LinkPredictionEvaluator(toy_dataset, eval_batch_size=3)
+    with pytest.raises(TypeError, match="n_workers"):
+        evaluate_model(None, toy_dataset, n_workers=2)
 
 
 # ------------------------------------------------------------------ construction

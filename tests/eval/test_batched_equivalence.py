@@ -1,27 +1,26 @@
-"""Regression tests: the batched evaluator must be bit-identical to the seed
-per-triple protocol (kept behind ``evaluate(..., batched=False)``) for every
-model family and for the rule/Cartesian/simple predictors, and must score each
-unique ``(h, r)`` / ``(r, t)`` query exactly once per run."""
+"""Regression tests: the evaluator must be bit-identical to the per-triple
+protocol (the oracle in ``ranking_oracle.py``) for every scorer family, at
+every batch size and worker count, and must score each unique ``(h, r)`` /
+``(r, t)`` query exactly once per run."""
 
 import numpy as np
 import pytest
 
+from repro.api.options import EvalOptions
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import LinkPredictionEvaluator
+from repro.eval.sharding import mean_tie_ranks
 from repro.models import ModelConfig, make_model
 from repro.models.registry import ALL_EMBEDDING_MODELS
 from repro.rules.amie import AmieConfig, AmieMiner
 from repro.rules.predictor import RuleBasedPredictor
 
+from ranking_oracle import assert_identical_results, evaluate_per_triple, row_ranks
 
-def _assert_identical_results(reference, batched):
-    assert len(reference.records) == len(batched.records)
-    for expected, actual in zip(reference.records, batched.records):
-        assert expected.triple == actual.triple
-        assert expected.side == actual.side
-        assert expected.raw_rank == actual.raw_rank, (expected, actual)
-        assert expected.filtered_rank == actual.filtered_rank, (expected, actual)
+#: Every scorer family: the registered embedding models plus the rule-based
+#: (AMIE), SimpleModel and Cartesian-product predictors.
+SCORER_FAMILIES = sorted(ALL_EMBEDDING_MODELS) + ["AMIE", "SimpleModel", "Cartesian"]
 
 
 def _query_rich_triples(dataset):
@@ -29,54 +28,65 @@ def _query_rich_triples(dataset):
     return list(dataset.train) + list(dataset.valid) + list(dataset.test)
 
 
-@pytest.fixture(params=sorted(ALL_EMBEDDING_MODELS))
-def embedding_model(request, toy_dataset):
-    extra = {"embedding_height": 4} if request.param == "ConvE" else {}
+def _scorer(family, dataset):
+    if family == "AMIE":
+        rules = AmieMiner(dataset.train, AmieConfig()).mine()
+        return RuleBasedPredictor(rules.rules, dataset.train, dataset.num_entities)
+    if family == "SimpleModel":
+        return SimpleRuleModel(dataset.train, dataset.num_entities, threshold=0.5)
+    if family == "Cartesian":
+        return CartesianProductPredictor(dataset.train, dataset.num_entities)
+    extra = {"embedding_height": 4} if family == "ConvE" else {}
     model = make_model(
-        request.param,
-        toy_dataset.num_entities,
-        toy_dataset.num_relations,
+        family,
+        dataset.num_entities,
+        dataset.num_relations,
         ModelConfig(dim=16, seed=7, extra=extra),
     )
     model.train_mode(False)
     return model
 
 
-def test_embedding_models_batched_matches_per_triple(embedding_model, toy_dataset):
-    evaluator = LinkPredictionEvaluator(toy_dataset)
+# ---------------------------------------------------------------------------- row kernel
+def test_mean_tie_ranks_matches_the_oracle_row():
+    rng = np.random.default_rng(7)
+    scores = rng.integers(0, 6, size=64).astype(np.float64)  # heavy ties
+    targets = np.array([0, 5, 5, 63, 17])
+    for known in (None, np.array([], dtype=np.int64), np.array([5, 12, 17, 40])):
+        raw, filtered = mean_tie_ranks(scores, targets, known)
+        raw_ref, filtered_ref = row_ranks(scores, targets, known)
+        np.testing.assert_array_equal(raw, raw_ref)
+        np.testing.assert_array_equal(filtered, filtered_ref)
+
+
+def test_mean_tie_ranks_adds_back_target_in_known_set():
+    # When the target itself appears among the known entities, filtering must
+    # not subtract it from its own tie group.
+    scores = np.array([3.0, 1.0, 3.0, 3.0, 0.0])
+    targets = np.array([2])
+    known = np.array([0, 2])  # one tied competitor filtered, target re-added
+    raw, filtered = mean_tie_ranks(scores, targets, known)
+    np.testing.assert_array_equal(raw, [2.0])
+    np.testing.assert_array_equal(filtered, [1.5])
+
+
+# ---------------------------------------------------------------------------- full-metric identity
+@pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=pytest.mark.multiprocess)]
+)
+@pytest.mark.parametrize("batch_size", [1, 7, 256])
+@pytest.mark.parametrize("family", SCORER_FAMILIES)
+def test_every_scorer_family_matches_the_per_triple_oracle(
+    family, batch_size, workers, toy_dataset, capped_workers
+):
+    scorer = _scorer(family, toy_dataset)
     triples = _query_rich_triples(toy_dataset)
-    reference = evaluator.evaluate(embedding_model, test_triples=triples, batched=False)
-    batched = evaluator.evaluate(embedding_model, test_triples=triples, batched=True)
-    _assert_identical_results(reference, batched)
-
-
-@pytest.mark.parametrize("scorer_kind", ["amie", "simple", "cartesian"])
-def test_rule_and_baseline_predictors_batched_matches_per_triple(scorer_kind, toy_dataset):
-    if scorer_kind == "amie":
-        rules = AmieMiner(toy_dataset.train, AmieConfig()).mine()
-        scorer = RuleBasedPredictor(rules.rules, toy_dataset.train, toy_dataset.num_entities)
-    elif scorer_kind == "simple":
-        scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
-    else:
-        scorer = CartesianProductPredictor(toy_dataset.train, toy_dataset.num_entities)
-    evaluator = LinkPredictionEvaluator(toy_dataset)
-    triples = _query_rich_triples(toy_dataset)
-    reference = evaluator.evaluate(scorer, test_triples=triples, batched=False)
-    batched = evaluator.evaluate(scorer, test_triples=triples, batched=True)
-    _assert_identical_results(reference, batched)
-
-
-def test_results_independent_of_eval_batch_size(toy_dataset):
-    model = make_model(
-        "DistMult", toy_dataset.num_entities, toy_dataset.num_relations, ModelConfig(dim=8, seed=3)
+    evaluator = LinkPredictionEvaluator(
+        toy_dataset,
+        options=EvalOptions(batch_size=batch_size, workers=capped_workers(workers)),
     )
-    model.train_mode(False)
-    triples = _query_rich_triples(toy_dataset)
-    evaluator = LinkPredictionEvaluator(toy_dataset)
-    baseline = evaluator.evaluate(model, test_triples=triples)
-    for batch_size in (1, 2, 3, 1000):
-        other = evaluator.evaluate(model, test_triples=triples, eval_batch_size=batch_size)
-        _assert_identical_results(baseline, other)
+    reference = evaluate_per_triple(evaluator, scorer, test_triples=triples)
+    assert_identical_results(reference, evaluator.evaluate(scorer, test_triples=triples))
 
 
 class _CountingScorer:
@@ -108,7 +118,9 @@ class _CountingScorer:
 def test_each_unique_query_scored_exactly_once(toy_dataset, eval_batch_size):
     triples = _query_rich_triples(toy_dataset)
     scorer = _CountingScorer(toy_dataset.num_entities)
-    evaluator = LinkPredictionEvaluator(toy_dataset, eval_batch_size=eval_batch_size)
+    evaluator = LinkPredictionEvaluator(
+        toy_dataset, options=EvalOptions(batch_size=eval_batch_size)
+    )
     evaluator.evaluate(scorer, test_triples=triples)
     unique_tail_queries = {(h, r) for h, r, _ in triples}
     unique_head_queries = {(r, t) for _, r, t in triples}
@@ -144,8 +156,8 @@ def test_scalar_only_scorers_still_work(toy_dataset):
     scorer = _ScalarOnlyScorer(toy_dataset.all_triples(), toy_dataset.num_entities)
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
-    reference = evaluator.evaluate(scorer, test_triples=triples, batched=False)
-    batched = evaluator.evaluate(scorer, test_triples=triples, batched=True)
-    _assert_identical_results(reference, batched)
+    reference = evaluate_per_triple(evaluator, scorer, test_triples=triples)
+    batched = evaluator.evaluate(scorer, test_triples=triples)
+    assert_identical_results(reference, batched)
     filtered = batched.filtered_metrics()
     assert filtered.hits_at_1 == pytest.approx(1.0)

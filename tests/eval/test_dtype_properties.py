@@ -6,9 +6,13 @@ Two guarantees worth pinning down with Hypothesis rather than examples:
    more than the fp32 rounding error at their magnitude, casting the score row
    to fp32 before ranking cannot reorder or merge anything, so fp32 ranks are
    bit-identical to fp64 ranks — raw and filtered.
-2. **Ties are mean-ranked identically under the fused kernel.**  The fused
-   comparison-count path and the materializing ``mean_tie_ranks`` path must
-   agree bitwise on arbitrarily tie-heavy rows, for every known-filter shape.
+2. **Ties are mean-ranked exactly as the protocol says.**  The evaluator's
+   comparison-count kernel (``mean_tie_ranks`` on a backend-resident row) must
+   agree bitwise with the per-triple oracle on arbitrarily tie-heavy rows, for
+   every known-filter shape and every scoring dtype.
+
+Reduced-precision rows are ranked as they are, in their own dtype, because
+that is what the evaluator does with an fp32/fp16 score block.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ from hypothesis import strategies as st
 
 from repro.backend import ScoreComputeMixin, get_backend
 from repro.kg import Dataset, TripleSet, Vocabulary
-from repro.eval import evaluate_model, fused_rank_row
+from repro.api.options import EvalOptions
+from repro.eval import evaluate_model
 from repro.eval.sharding import mean_tie_ranks
+
+from ranking_oracle import row_ranks
 
 BACKEND = get_backend("numpy")
 
@@ -88,8 +95,8 @@ def tie_heavy_cases(draw):
 def test_fp32_ranks_match_fp64_on_well_separated_scores(case):
     scores, targets, known = case
     raw64, filtered64 = mean_tie_ranks(scores, targets, known)
-    demoted = scores.astype(np.float32).astype(np.float64)
-    raw32, filtered32 = fused_rank_row(BACKEND, demoted, targets, known)
+    demoted = scores.astype(np.float32)
+    raw32, filtered32 = mean_tie_ranks(demoted, targets, known, BACKEND)
     np.testing.assert_array_equal(raw32, raw64)
     np.testing.assert_array_equal(filtered32, filtered64)
 
@@ -99,7 +106,7 @@ def test_fp32_ranks_match_fp64_on_well_separated_scores(case):
 def test_fp16_ranks_match_fp64_when_separation_survives_fp16(case):
     scores, targets, known = case
     with np.errstate(over="ignore"):  # fp16 overflow to inf is fine: guarded below
-        demoted = scores.astype(np.float16).astype(np.float64)
+        demoted = scores.astype(np.float16)
     # fp16 has ~3 decimal digits; only assert when the cast kept all values
     # distinct, i.e. the row is genuinely fp16-separated.
     if len(np.unique(demoted)) != len(np.unique(scores)):
@@ -109,7 +116,7 @@ def test_fp16_ranks_match_fp64_when_separation_survives_fp16(case):
     if not np.array_equal(order64, order16):
         return
     raw64, filtered64 = mean_tie_ranks(scores, targets, known)
-    raw16, filtered16 = fused_rank_row(BACKEND, demoted, targets, known)
+    raw16, filtered16 = mean_tie_ranks(demoted, targets, known, BACKEND)
     np.testing.assert_array_equal(raw16, raw64)
     np.testing.assert_array_equal(filtered16, filtered64)
 
@@ -117,22 +124,22 @@ def test_fp16_ranks_match_fp64_when_separation_survives_fp16(case):
 # ---------------------------------------------------------------------------- property 2: tie handling
 @settings(max_examples=300, deadline=None)
 @given(case=tie_heavy_cases())
-def test_ties_mean_ranked_identically_under_fused_kernel(case):
+def test_ties_mean_ranked_identically_to_the_oracle(case):
     scores, targets, known = case
-    raw_ref, filtered_ref = mean_tie_ranks(scores, targets, known)
-    raw_fused, filtered_fused = fused_rank_row(BACKEND, scores, targets, known)
-    np.testing.assert_array_equal(raw_fused, raw_ref)
-    np.testing.assert_array_equal(filtered_fused, filtered_ref)
+    raw_ref, filtered_ref = row_ranks(scores, targets, known)
+    raw, filtered = mean_tie_ranks(scores, targets, known, BACKEND)
+    np.testing.assert_array_equal(raw, raw_ref)
+    np.testing.assert_array_equal(filtered, filtered_ref)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=tie_heavy_cases())
 def test_tie_handling_is_dtype_invariant_for_small_integer_scores(case):
     scores, targets, known = case  # integer-valued in [0, 4]: exact in fp16
-    raw_ref, filtered_ref = mean_tie_ranks(scores, targets, known)
+    raw_ref, filtered_ref = row_ranks(scores, targets, known)
     for dtype in (np.float32, np.float16):
-        demoted = scores.astype(dtype).astype(np.float64)
-        raw, filtered = fused_rank_row(BACKEND, demoted, targets, known)
+        demoted = scores.astype(dtype)
+        raw, filtered = mean_tie_ranks(demoted, targets, known, BACKEND)
         np.testing.assert_array_equal(raw, raw_ref)
         np.testing.assert_array_equal(filtered, filtered_ref)
 
@@ -193,7 +200,9 @@ def test_fp_reduced_evaluation_metrics_identical_on_integer_scores(
     scorer = _IntegerTableScorer(integer_dataset.num_entities)
     reference = evaluate_model(scorer, integer_dataset)
     scorer.set_score_backend("numpy", "fp64")  # reset between runs
-    reduced = evaluate_model(scorer, integer_dataset, eval_dtype=eval_dtype)
+    reduced = evaluate_model(
+        scorer, integer_dataset, options=EvalOptions(eval_dtype=eval_dtype)
+    )
     assert len(reference.records) == len(reduced.records)
     for expected, actual in zip(reference.records, reduced.records):
         assert expected.raw_rank == actual.raw_rank

@@ -11,8 +11,9 @@ from repro.eval import (
     evaluate_model,
     metrics_from_rank_pairs,
 )
-from repro.eval.ranking import _rank_with_mean_ties
 from repro.kg import TripleSet
+
+from ranking_oracle import rank_with_mean_ties
 
 
 # ------------------------------------------------------------------ metrics
@@ -58,11 +59,11 @@ def test_property_metric_bounds(ranks):
 def test_rank_with_mean_ties():
     scores = np.array([0.9, 0.5, 0.5, 0.1])
     mask = np.ones(4, dtype=bool)
-    assert _rank_with_mean_ties(scores, 0, mask) == 1.0
-    assert _rank_with_mean_ties(scores, 1, mask) == 2.5  # tied with index 2
-    assert _rank_with_mean_ties(scores, 3, mask) == 4.0
+    assert rank_with_mean_ties(scores, 0, mask) == 1.0
+    assert rank_with_mean_ties(scores, 1, mask) == 2.5  # tied with index 2
+    assert rank_with_mean_ties(scores, 3, mask) == 4.0
     mask[0] = False
-    assert _rank_with_mean_ties(scores, 1, mask) == 1.5
+    assert rank_with_mean_ties(scores, 1, mask) == 1.5
 
 
 # ------------------------------------------------------------------ the protocol
@@ -116,6 +117,14 @@ def test_evaluator_single_side_and_subset(toy_dataset):
     result = evaluator.evaluate(oracle, test_triples=subset, sides=("tail",))
     assert len(result.records) == 1
     assert result.records[0].side == "tail"
+
+
+@pytest.mark.parametrize("sides", [("tails",), ("head", "Tail"), ("both",)])
+def test_evaluator_rejects_unknown_sides(toy_dataset, sides):
+    oracle = OracleScorer(toy_dataset.all_triples(), toy_dataset.num_entities)
+    evaluator = LinkPredictionEvaluator(toy_dataset)
+    with pytest.raises(ValueError, match="sides"):
+        evaluator.evaluate(oracle, sides=sides)
 
 
 def test_extra_ground_truth_improves_filtered_rank(toy_dataset):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.options import EvalOptions
 from repro.core.baselines import SimpleRuleModel
 from repro.core.cartesian import CartesianProductPredictor
 from repro.eval import (
@@ -32,6 +33,8 @@ from repro.rules.amie import AmieConfig, AmieMiner
 from repro.rules.predictor import RuleBasedPredictor
 from repro.telemetry import Telemetry, scoped
 
+from ranking_oracle import assert_identical_results
+
 #: Test-local scorer classes ship to workers by reference, which only works
 #: when the child inherits this module's state via fork.
 requires_fork = pytest.mark.skipif(
@@ -40,16 +43,12 @@ requires_fork = pytest.mark.skipif(
 )
 
 
-def _assert_identical_results(reference, other):
-    assert len(reference.records) == len(other.records)
-    for expected, actual in zip(reference.records, other.records):
-        assert (expected.triple, expected.side) == (actual.triple, actual.side)
-        assert expected.raw_rank == actual.raw_rank, (expected, actual)
-        assert expected.filtered_rank == actual.filtered_rank, (expected, actual)
-
-
 def _query_rich_triples(dataset):
     return list(dataset.train) + list(dataset.valid) + list(dataset.test)
+
+
+def _evaluator(dataset, **options):
+    return LinkPredictionEvaluator(dataset, options=EvalOptions(**options))
 
 
 # ---------------------------------------------------------------------------- planning
@@ -188,8 +187,10 @@ def test_embedding_models_sharded_matches_single_process(
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
     single = evaluator.evaluate(model, test_triples=triples)
-    sharded = evaluator.evaluate(model, test_triples=triples, n_workers=capped_workers(2))
-    _assert_identical_results(single, sharded)
+    sharded = _evaluator(toy_dataset, workers=capped_workers(2)).evaluate(
+        model, test_triples=triples
+    )
+    assert_identical_results(single, sharded)
 
 
 @pytest.mark.multiprocess
@@ -207,10 +208,10 @@ def test_rule_and_baseline_predictors_sharded_matches_single_process(
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
     single = evaluator.evaluate(scorer, test_triples=triples)
-    sharded = evaluator.evaluate(
-        scorer, test_triples=triples, n_workers=capped_workers(2), shard_size=2
+    sharded = _evaluator(toy_dataset, workers=capped_workers(2), shard_size=2).evaluate(
+        scorer, test_triples=triples
     )
-    _assert_identical_results(single, sharded)
+    assert_identical_results(single, sharded)
 
 
 @pytest.mark.multiprocess
@@ -220,8 +221,10 @@ def test_scalar_only_scorers_shard_through_the_fallback(toy_dataset, capped_work
     evaluator = LinkPredictionEvaluator(toy_dataset)
     triples = _query_rich_triples(toy_dataset)
     single = evaluator.evaluate(scorer, test_triples=triples)
-    sharded = evaluator.evaluate(scorer, test_triples=triples, n_workers=capped_workers(2))
-    _assert_identical_results(single, sharded)
+    sharded = _evaluator(toy_dataset, workers=capped_workers(2)).evaluate(
+        scorer, test_triples=triples
+    )
+    assert_identical_results(single, sharded)
 
 
 @pytest.mark.multiprocess
@@ -233,8 +236,10 @@ def test_more_workers_than_queries(toy_dataset, capped_workers):
     triples = [next(iter(toy_dataset.test))]
     evaluator = LinkPredictionEvaluator(toy_dataset)
     single = evaluator.evaluate(model, test_triples=triples)
-    sharded = evaluator.evaluate(model, test_triples=triples, n_workers=capped_workers(4))
-    _assert_identical_results(single, sharded)
+    sharded = _evaluator(toy_dataset, workers=capped_workers(4)).evaluate(
+        model, test_triples=triples
+    )
+    assert_identical_results(single, sharded)
     assert len(sharded.records) == 2  # one head + one tail record
 
 
@@ -245,12 +250,13 @@ def test_constructor_knobs_and_evaluate_model_passthrough(toy_dataset, capped_wo
     )
     model.train_mode(False)
     baseline = LinkPredictionEvaluator(toy_dataset).evaluate(model)
-    via_constructor = LinkPredictionEvaluator(
-        toy_dataset, n_workers=capped_workers(2), shard_size=1
+    via_constructor = _evaluator(
+        toy_dataset, workers=capped_workers(2), shard_size=1
     ).evaluate(model)
-    _assert_identical_results(baseline, via_constructor)
+    assert_identical_results(baseline, via_constructor)
     via_wrapper = evaluate_model(
-        model, toy_dataset, n_workers=capped_workers(2), model_name="ComplEx"
+        model, toy_dataset, model_name="ComplEx",
+        options=EvalOptions(workers=capped_workers(2)),
     )
     assert baseline.metrics().as_dict() == via_wrapper.metrics().as_dict()
 
@@ -261,7 +267,7 @@ def test_sharded_metrics_equal_single_process_metrics(toy_dataset, capped_worker
     scorer = SimpleRuleModel(toy_dataset.train, toy_dataset.num_entities, threshold=0.5)
     evaluator = LinkPredictionEvaluator(toy_dataset)
     single = evaluator.evaluate(scorer)
-    sharded = evaluator.evaluate(scorer, n_workers=capped_workers(3))
+    sharded = _evaluator(toy_dataset, workers=capped_workers(3)).evaluate(scorer)
     assert single.metrics().as_dict() == sharded.metrics().as_dict()
     assert single.metrics_by_relation().keys() == sharded.metrics_by_relation().keys()
 
@@ -330,13 +336,13 @@ def test_multiprocess_eval_telemetry_matches_single_process(
         single = evaluator.evaluate(model, test_triples=triples)
         single_counts = single_t.snapshot()["counters"]
     with scoped(Telemetry(enabled=True)) as sharded_t:
-        sharded = evaluator.evaluate(
-            model, test_triples=triples, n_workers=capped_workers(2)
+        sharded = _evaluator(toy_dataset, workers=capped_workers(2)).evaluate(
+            model, test_triples=triples
         )
         sharded_counts = sharded_t.snapshot()["counters"]
 
-    _assert_identical_results(untraced, single)   # telemetry never changes a rank
-    _assert_identical_results(single, sharded)
+    assert_identical_results(untraced, single)   # telemetry never changes a rank
+    assert_identical_results(single, sharded)
     assert sharded_counts["eval.entries"] == single_counts["eval.entries"]
     assert sharded_counts["eval.ranked_targets"] == single_counts["eval.ranked_targets"]
     # The parent absorbed one eval.rank_shard span per worker shard.

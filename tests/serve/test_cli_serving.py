@@ -1,11 +1,21 @@
 """The CLI serving surface: artifact export, `serve` and `query` commands."""
 
+import json
+import os
+import select
+import signal
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Query, QueryBatch
 from repro.cli import main
+from repro.models import ModelConfig, make_model
 from repro.serve import ModelArtifact, QueryEngine, load_model, serve_forever
 from repro.serve.server import query_server
 
@@ -104,3 +114,32 @@ def test_query_command_against_a_live_server(tmp_path, capsys):
         address["host"], address["port"], QueryBatch.of(Query.tail(0, 0, k=3))
     )
     assert len(response.results[0].entities) == 3
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signal delivery to a child")
+def test_serve_shuts_down_quietly_on_sigint_with_a_client_connected(tmp_path):
+    target = tmp_path / "artifact"
+    ModelArtifact.save(make_model("DistMult", 8, 4, ModelConfig(dim=8, seed=7)), target)
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--artifact", str(target), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        announced, _, _ = select.select([server.stdout], [], [], 60)
+        assert announced, "server never announced its address"
+        port = int(server.stdout.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as client:
+            client.sendall(b'{"op": "ping"}\n')
+            assert json.loads(client.makefile().readline()) == {"ok": True}
+            # The connection stays open and idle while the server shuts down.
+            server.send_signal(signal.SIGINT)
+            _, stderr = server.communicate(timeout=30)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    assert server.returncode == 0
+    assert "Traceback" not in stderr, stderr
