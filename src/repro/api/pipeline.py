@@ -232,7 +232,9 @@ def ensure_scorer(store: ArtifactStore, config, model_name: str, dataset_name: s
     def build():
         dataset = ensure_dataset(store, config, dataset_name)
         if model_name == "AMIE":
-            rules = AmieMiner(dataset.train, AmieConfig()).mine()
+            with get_telemetry().span("rules.amie.mine", dataset=dataset.name) as span:
+                rules = AmieMiner(dataset.train, AmieConfig()).mine()
+                span.set(rules=len(rules))
             return RuleBasedPredictor(rules.rules, dataset.train, dataset.num_entities)
         if model_name == "SimpleModel":
             return SimpleRuleModel(dataset.train, dataset.num_entities)

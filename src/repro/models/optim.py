@@ -252,6 +252,9 @@ class Adam(Optimizer):
         self._second_moment = {name: np.zeros_like(p.data) for name, p in self.parameters.items()}
         self._step_count = 0
         self._row_steps: Dict[str, np.ndarray] = {}
+        # ``1 - beta ** k`` indexed by step count k: derived state, never
+        # checkpointed, grown by doubling to the largest row step seen.
+        self._bias_tables = (np.zeros(1), np.zeros(1))
 
     def step(self) -> bool:
         self._step_count += 1
@@ -279,22 +282,29 @@ class Adam(Optimizer):
             steps = self._row_steps[name] = np.zeros(parameter.data.shape[0], dtype=np.int64)
         steps[indices] += 1
         t = steps[indices]
-        # Bias corrections via the same *scalar* ``beta ** int`` the dense
-        # path computes (numpy's vectorized pow differs from Python's by an
-        # ulp at some exponents, which would break the per-row equivalence).
         trailing = [1] * (rows.ndim - 1)
-        bias1 = np.empty(len(t)).reshape(-1, *trailing)
-        bias2 = np.empty(len(t)).reshape(-1, *trailing)
-        flat1, flat2 = bias1.reshape(-1), bias2.reshape(-1)
-        for value in np.unique(t):
-            mask = t == value
-            flat1[mask] = 1.0 - self.beta1 ** int(value)
-            flat2[mask] = 1.0 - self.beta2 ** int(value)
+        bias1, bias2 = self._bias_corrections(t)
+        bias1, bias2 = bias1.reshape(-1, *trailing), bias2.reshape(-1, *trailing)
         m[indices] = self.beta1 * m[indices] + (1.0 - self.beta1) * rows
         v[indices] = self.beta2 * v[indices] + (1.0 - self.beta2) * rows ** 2
         m_hat = m[indices] / bias1
         v_hat = v[indices] / bias2
         parameter.data[indices] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+
+    def _bias_corrections(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Both bias corrections ``1 - beta ** t`` for an array of row steps."""
+        table1, table2 = self._bias_tables
+        needed = int(t.max()) + 1 if len(t) else 0
+        if needed > len(table1):
+            size = max(needed, 2 * len(table1))
+            # Each entry is the same *scalar* ``beta ** int`` the dense path
+            # computes (numpy's vectorized pow differs from Python's by an
+            # ulp at some exponents, which would break the per-row equivalence).
+            grown = range(len(table1), size)
+            table1 = np.concatenate((table1, [1.0 - self.beta1 ** k for k in grown]))
+            table2 = np.concatenate((table2, [1.0 - self.beta2 ** k for k in grown]))
+            self._bias_tables = (table1, table2)
+        return table1[t], table2[t]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {"step_count": np.asarray(self._step_count)}
@@ -319,8 +329,18 @@ class Adam(Optimizer):
         self._row_steps = {}
         prefix = "rowsteps__"
         for key, value in state.items():
-            if key.startswith(prefix):
-                self._row_steps[key[len(prefix):]] = np.asarray(value, dtype=np.int64).copy()
+            if not key.startswith(prefix):
+                continue
+            name = key[len(prefix):]
+            if name not in self.parameters:
+                raise ValueError(f"row steps for unknown parameter {name!r}")
+            steps = np.asarray(value, dtype=np.int64)
+            expected = (self.parameters[name].data.shape[0],)
+            if steps.shape != expected:
+                raise ValueError(
+                    f"row-step shape mismatch for {name!r}: {steps.shape} != {expected}"
+                )
+            self._row_steps[name] = steps.copy()
 
 
 def make_optimizer(

@@ -13,6 +13,7 @@ import pytest
 from repro.api import ExperimentSpec, Runner, schema
 from repro.cli import GENERATED_KNOB_FLAGS, build_parser, main
 from repro.experiments import ExperimentConfig, Workbench
+from repro.telemetry import read_trace_jsonl, scoped
 
 EXAMPLE_SPECS = sorted((Path(__file__).parents[2] / "examples" / "specs").glob("*.toml"))
 
@@ -233,6 +234,19 @@ def test_run_headline_spec_is_bit_identical_to_the_legacy_path(capsys):
     out = capsys.readouterr().out
     assert "headline-tiny" in out
     assert "Link prediction on WN18RR-like" in out
+
+
+def test_telemetry_run_traces_one_amie_mining_span_per_dataset(tmp_path, capsys):
+    spec_path = next(path for path in EXAMPLE_SPECS if path.name == "headline_tiny.toml")
+    spec = ExperimentSpec.load(spec_path)
+    trace_path = tmp_path / "run.trace.jsonl"
+    with scoped():  # isolate the process-global telemetry handle
+        argv = ["run", str(spec_path), "--quiet", "--telemetry", "--trace-out", str(trace_path)]
+        assert main(argv) == 0
+    capsys.readouterr()
+    mining = [r for r in read_trace_jsonl(trace_path) if r["name"] == "rules.amie.mine"]
+    assert sorted(r["attrs"]["dataset"] for r in mining) == sorted(spec.datasets)
+    assert all(r["attrs"]["rules"] > 0 for r in mining)
 
 
 def test_run_stages_tolerates_spaces_and_trailing_commas(tmp_path, capsys):

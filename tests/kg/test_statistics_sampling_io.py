@@ -101,6 +101,14 @@ def test_sampler_rejects_bad_positive_shape(toy_dataset):
         sampler.sample(np.zeros((3, 2), dtype=np.int64))
 
 
+
+@pytest.mark.parametrize("num_negatives", [0, -1])
+@pytest.mark.parametrize("sampler_class", [UniformNegativeSampler, BernoulliNegativeSampler])
+def test_sampler_rejects_fewer_than_one_negative(sampler_class, num_negatives, toy_dataset):
+    sampler = sampler_class(toy_dataset.train, toy_dataset.num_entities)
+    with pytest.raises(ValueError, match="num_negatives"):
+        sampler.sample(toy_dataset.train.to_array(), num_negatives=num_negatives)
+
 # ---------------------------------------------------------------------------- io
 def test_tsv_roundtrip(tmp_path):
     rows = [("a", "r", "b"), ("b", "r", "c")]

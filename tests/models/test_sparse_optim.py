@@ -156,6 +156,65 @@ def test_optimizer_state_dict_roundtrip():
     assert np.array_equal(parameter.data, clone_param.data)
 
 
+def _stepped_adam_state():
+    parameter = Parameter(np.zeros((NUM_ROWS, DIM)), sparse_updates=True)
+    optimizer = Adam({"table": parameter}, learning_rate=0.05)
+    parameter.gather(np.array([1, 2])).backward(np.ones((2, DIM)))
+    optimizer.step()
+    return {key: value.copy() for key, value in optimizer.state_dict().items()}
+
+
+def test_adam_rejects_row_steps_of_the_wrong_length():
+    state = _stepped_adam_state()
+    state["rowsteps__table"] = np.zeros(NUM_ROWS + 1, dtype=np.int64)
+    clone = Adam({"table": Parameter(np.zeros((NUM_ROWS, DIM)))})
+    with pytest.raises(ValueError, match="row-step shape mismatch"):
+        clone.load_state_dict(state)
+
+
+def test_adam_rejects_row_steps_for_an_unknown_parameter():
+    state = _stepped_adam_state()
+    state["rowsteps__ghost"] = np.zeros(NUM_ROWS, dtype=np.int64)
+    clone = Adam({"table": Parameter(np.zeros((NUM_ROWS, DIM)))})
+    with pytest.raises(ValueError, match="unknown parameter 'ghost'"):
+        clone.load_state_dict(state)
+
+
+def test_lazy_adam_bias_is_the_scalar_pow_across_growth_and_restore():
+    """Row step k is bias-corrected with exactly ``1 - beta ** int(k)``."""
+    optimizer = Adam({"table": Parameter(np.zeros((NUM_ROWS, DIM)))}, beta1=0.9, beta2=0.999)
+
+    def assert_exact(t):
+        bias1, bias2 = optimizer._bias_corrections(np.asarray(t, dtype=np.int64))
+        assert bias1.tolist() == [1.0 - 0.9 ** int(k) for k in t]
+        assert bias2.tolist() == [1.0 - 0.999 ** int(k) for k in t]
+
+    # Each call needs a larger table than the last: growth by doubling and
+    # growth straight to the requested step.
+    for t in ([1], [3, 1, 2], list(range(1, 40)), [4000, 17, 2999], list(range(1, 4097))):
+        assert_exact(t)
+    assert not any("bias" in key for key in optimizer.state_dict())
+
+    # A fresh optimizer restored to large row counts steps them exactly.
+    rows, lr, eps = np.array([0, 3]), 0.05, 1e-8
+    state = _stepped_adam_state()
+    state["rowsteps__table"][rows] = [2500, 6000]
+    parameter = Parameter(np.zeros((NUM_ROWS, DIM)), sparse_updates=True)
+    restored = Adam({"table": parameter}, learning_rate=lr)
+    restored.load_state_dict(state)
+    m0, v0 = state["m__table"][rows], state["v__table"][rows]
+    grad = np.random.default_rng(5).normal(size=(2, DIM))
+    parameter.gather(rows).backward(grad)
+    restored.step()
+    assert restored._row_steps["table"][rows].tolist() == [2501, 6001]
+    bias1 = np.array([[1.0 - 0.9 ** 2501], [1.0 - 0.9 ** 6001]])
+    bias2 = np.array([[1.0 - 0.999 ** 2501], [1.0 - 0.999 ** 6001]])
+    m = 0.9 * m0 + (1.0 - 0.9) * grad
+    v = 0.999 * v0 + (1.0 - 0.999) * grad ** 2
+    expected = -(lr * (m / bias1) / (np.sqrt(v / bias2) + eps))
+    assert np.array_equal(parameter.data[rows], expected)
+
+
 @pytest.mark.parametrize("optimizer_name", ["sgd", "adagrad"])
 @pytest.mark.parametrize("model_name", ALL_EMBEDDING_MODELS)
 def test_sparse_training_is_bit_identical_to_dense_for_all_models(
