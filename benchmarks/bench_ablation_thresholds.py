@@ -1,6 +1,6 @@
 """Ablation: sensitivity of the duplicate/Cartesian detectors to the theta thresholds.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import ablation_thresholds
 from conftest import run_experiment
 
 
-def test_ablation_thresholds(benchmark, workbench):
-    result = run_experiment(benchmark, ablation_thresholds, workbench)
+def test_ablation_thresholds(benchmark, runner):
+    result = run_experiment(benchmark, ablation_thresholds, runner)
     assert result["experiment"]

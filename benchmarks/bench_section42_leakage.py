@@ -1,6 +1,6 @@
 """Section 4.2: reverse-triple leakage statistics of FB15k-like, WN18-like and YAGO3-10-like.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import section42_leakage
 from conftest import run_experiment
 
 
-def test_section42_leakage(benchmark, workbench):
-    result = run_experiment(benchmark, section42_leakage, workbench)
+def test_section42_leakage(benchmark, runner):
+    result = run_experiment(benchmark, section42_leakage, runner)
     assert result["experiment"]

@@ -1,6 +1,6 @@
 """Table 13: FHits@1 of every model plus the simple statistics-based rule model.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import table13_hits1_simple_model
 from conftest import run_experiment
 
 
-def test_table13_simple_model(benchmark, workbench):
-    result = run_experiment(benchmark, table13_hits1_simple_model, workbench)
+def test_table13_simple_model(benchmark, runner):
+    result = run_experiment(benchmark, table13_hits1_simple_model, runner)
     assert result["experiment"]

@@ -1,6 +1,6 @@
 """Table 6: link prediction of the full model lineup on WN18-like vs WN18RR-like.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import table6_wn18
 from conftest import run_experiment
 
 
-def test_table6_wn18(benchmark, workbench):
-    result = run_experiment(benchmark, table6_wn18, workbench)
+def test_table6_wn18(benchmark, runner):
+    result = run_experiment(benchmark, table6_wn18, runner)
     assert result["experiment"]

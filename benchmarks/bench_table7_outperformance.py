@@ -1,6 +1,6 @@
 """Table 7: share of test triples, among those where each model beats TransE, that are redundant.
 
-Regenerates the paper artefact from the shared workbench and reports the
+Regenerates the paper artefact from the shared runner and reports the
 wall-clock cost of the experiment driver through pytest-benchmark.
 """
 
@@ -9,6 +9,6 @@ from repro.experiments import table7_outperform_redundancy
 from conftest import run_experiment
 
 
-def test_table7_outperformance(benchmark, workbench):
-    result = run_experiment(benchmark, table7_outperform_redundancy, workbench)
+def test_table7_outperformance(benchmark, runner):
+    result = run_experiment(benchmark, table7_outperform_redundancy, runner)
     assert result["experiment"]

@@ -1,9 +1,8 @@
-"""The keyed artifact store behind the pipeline runner and the Workbench shim.
+"""The keyed artifact store behind the pipeline runner.
 
 Every expensive object an experiment produces — datasets, the simulated
 Freebase snapshot, audits, trained scorers, evaluation results — lives in one
-:class:`ArtifactStore` under a structured key, replacing the private
-per-kind dict caches the old ``Workbench`` god-object kept:
+:class:`ArtifactStore` under a structured key:
 
 ========================== ==================================================
 key                        artifact
@@ -122,7 +121,7 @@ class ArtifactStore:
 
     def __init__(self, fingerprint: str = "") -> None:
         #: Fingerprint of the spec this store's artifacts belong to (empty for
-        #: ad-hoc stores, e.g. behind a legacy ``Workbench``).
+        #: ad-hoc stores, e.g. a CLI command building one replica).
         self.fingerprint = fingerprint
         self._artifacts: Dict[ArtifactKey, Any] = {}
 

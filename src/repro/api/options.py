@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from . import schema
+
+if TYPE_CHECKING:  # pragma: no cover - typing-time import only
+    from .spec import ExperimentConfig
 
 #: ``EvalOptions`` fields that are deliberately *not* evaluation-section
 #: knobs (engine-level plumbing, never part of an experiment declaration).
@@ -49,14 +52,14 @@ class EvalOptions:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def from_experiment_config(cls, config: Any) -> "EvalOptions":
-        """The options an :class:`ExperimentConfig` (or spec section) declares."""
+    def from_experiment_config(cls, config: "ExperimentConfig") -> "EvalOptions":
+        """The options an :class:`~repro.api.spec.ExperimentConfig` declares."""
         return cls(
             batch_size=config.eval_batch_size,
             workers=config.eval_workers,
             shard_size=config.eval_shard_size,
-            backend=getattr(config, "eval_backend", schema.EVALUATION_DEFAULTS["backend"]),
-            eval_dtype=getattr(config, "eval_dtype", schema.EVALUATION_DEFAULTS["eval_dtype"]),
+            backend=config.eval_backend,
+            eval_dtype=config.eval_dtype,
         )
 
     # -- validation / normalization ----------------------------------------

@@ -1,16 +1,17 @@
 """Named pipeline stages and the :class:`Runner` that executes a spec.
 
-The old ``Workbench`` god-object built every artifact lazily behind four
-private dict caches.  This module decomposes that surface into two pieces:
+Two pieces:
 
 * **builders** (``ensure_dataset``, ``ensure_redundancy``, ``ensure_scorer``,
   ``ensure_evaluation``, ...): pure build-on-miss functions over an explicit
-  :class:`~repro.api.artifacts.ArtifactStore`.  The legacy ``Workbench``
-  delegates to exactly these functions, which is why a spec run is
-  bit-identical to the equivalent Workbench session.
-* **stages**: the named, composable phases of an experiment —
-  ``ingest -> audit -> deredundify -> train -> evaluate -> report`` — executed
-  in canonical order by a :class:`Runner` over one store.
+  :class:`~repro.api.artifacts.ArtifactStore` and a resolved
+  :class:`~repro.api.spec.ExperimentConfig`.
+* **the runner**: a :class:`Runner` resolves the right config per artifact
+  (:meth:`Runner.dataset`, :meth:`Runner.scorer`, :meth:`Runner.evaluation`,
+  ...) and executes the named phases of an experiment —
+  ``ingest -> audit -> deredundify -> train -> evaluate -> report`` — in
+  canonical order over one store.  The paper's table drivers
+  (:mod:`repro.experiments`) call the same accessors.
 
 Stages are *materialization points*, not hard dependencies: the builders pull
 missing prerequisites on demand, so running only ``evaluate`` still trains
@@ -364,6 +365,46 @@ class Runner:
             models = models + ("AMIE",)
         return models
 
+    # -- artifacts ---------------------------------------------------------------
+    # Datasets are always built with the global config (overrides patch the
+    # analysis thresholds, never how a replica is built), so the same spec
+    # materializes the same datasets whichever accessor or stage asks first.
+    def dataset(self, name: str):
+        """One dataset by key: a built-in replica, the spec's TSV source or
+        its de-redundant variant, each materialized on first use."""
+        if name == self.spec.dataset.source_name:
+            self._ensure_source()
+        elif name == self._derived_name():
+            self._materialize_derived()
+        return ensure_dataset(self.store, self.config, name)
+
+    def _config_for(self, dataset_name: str, model_name: Optional[str] = None):
+        """The pair's resolved config, once its dataset exists."""
+        self.dataset(dataset_name)
+        return self.spec.config_for(model=model_name, dataset=dataset_name)
+
+    def redundancy(self, dataset_name: str):
+        """The Section 4 redundancy report of one dataset."""
+        return ensure_redundancy(self.store, self._config_for(dataset_name), dataset_name)
+
+    def leakage(self, dataset_name: str):
+        """The Section 4.2 test-leakage report of one dataset."""
+        return ensure_leakage(self.store, self._config_for(dataset_name), dataset_name)
+
+    def categories(self, dataset_name: str) -> Dict[int, str]:
+        """Relation id -> cardinality category (1-1, 1-n, n-1, n-m)."""
+        return ensure_categories(self.store, self._config_for(dataset_name), dataset_name)
+
+    def scorer(self, model_name: str, dataset_name: str):
+        """A trained scorer (embedding model, AMIE, simple rule or Cartesian baseline)."""
+        config = self._config_for(dataset_name, model_name)
+        return ensure_scorer(self.store, config, model_name, dataset_name)
+
+    def evaluation(self, model_name: str, dataset_name: str):
+        """Cached link-prediction evaluation of one scorer on one dataset."""
+        config = self._config_for(dataset_name, model_name)
+        return ensure_evaluation(self.store, config, model_name, dataset_name)
+
     def dataset_names(self) -> List[str]:
         """Datasets the run touches: the spec's list plus an unlisted source."""
         names = list(self.spec.datasets)
@@ -417,14 +458,9 @@ class Runner:
         self._selected_stages = tuple(selected)
         # Enable-never-disable: the spec can switch telemetry on, but a spec
         # with it off must not silence a session someone enabled explicitly.
-        if (
-            self.config.telemetry_enabled
-            or self.config.telemetry_trace_path
-            or self.config.telemetry_profile
-        ):
-            configure_telemetry(
-                enabled=True, profile=self.config.telemetry_profile or None
-            )
+        settings = self.spec.telemetry
+        if settings.enabled or settings.trace_path or settings.profile:
+            configure_telemetry(enabled=True, profile=settings.profile or None)
         telemetry = get_telemetry()
         profiles: Dict[str, Dict[str, Any]] = {}
         self._ensure_deltas()
@@ -472,8 +508,8 @@ class Runner:
                 report.telemetry["cache"] = dict(cache_stats)
             if profiles:
                 report.telemetry["profile"] = profiles
-            if self.config.telemetry_trace_path:
-                trace_path = write_trace_jsonl(records, self.config.telemetry_trace_path)
+            if settings.trace_path:
+                trace_path = write_trace_jsonl(records, settings.trace_path)
                 report.telemetry["trace_path"] = str(trace_path)
                 logger.info("[%s] trace written to %s", self.spec.name, trace_path)
         elif cache_stats is not None:
@@ -517,34 +553,23 @@ class Runner:
         derived_name = self._derived_name()
         if not source_name or ("dataset", derived_name) in self.store:
             return
-        self._ensure_source()
-        config = self.spec.config_for(dataset=source_name)
-        dataset = ensure_dataset(self.store, config, source_name)
-        redundancy = ensure_redundancy(self.store, config, source_name)
+        theta = self.spec.config_for(dataset=source_name).audit_theta
         derived = remove_redundant_relations(
-            dataset,
-            theta_1=config.audit_theta,
-            theta_2=config.audit_theta,
-            report=redundancy,
+            self.dataset(source_name),
+            theta_1=theta,
+            theta_2=theta,
+            report=self.redundancy(source_name),
         )
         register_dataset(self.store, derived)
-
-    def _ensure_listed_datasets(self) -> None:
-        """Pull the source (and its derived variant, when listed) on demand."""
-        self._ensure_source()
-        derived = self._derived_name()
-        if derived and derived in self.spec.datasets and ("dataset", derived) not in self.store:
-            self._materialize_derived()
 
     # -- stages ------------------------------------------------------------------
     def _stage_ingest(self, report: RunReport) -> None:
         """Materialize every dataset: built-in replicas and the TSV source."""
         telemetry = get_telemetry()
-        self._ensure_source()
         derived = self._derived_name()
         for name in self.dataset_names():
             if name != derived:
-                dataset = ensure_dataset(self.store, self.config, name)
+                dataset = self.dataset(name)
                 # Generated replicas never pass through the streaming
                 # pipeline (which records the ingest.chunk_* series), so the
                 # stage accounts for their triples here.
@@ -554,18 +579,12 @@ class Runner:
                 )
 
     def _audit_dataset(self, name: str) -> None:
-        # Construction always uses the *global* config (overrides patch the
-        # analysis thresholds, never how a replica is built), so the same
-        # spec materializes the same datasets whatever stage subset runs.
-        ensure_dataset(self.store, self.config, name)
-        config = self.spec.config_for(dataset=name)
-        ensure_redundancy(self.store, config, name)
-        ensure_leakage(self.store, config, name)
-        ensure_categories(self.store, config, name)
+        self.redundancy(name)
+        self.leakage(name)
+        self.categories(name)
 
     def _stage_audit(self, report: RunReport) -> None:
         """Redundancy, leakage and relation-category audits per dataset."""
-        self._ensure_source()
         derived = self._derived_name()
         for name in self.dataset_names():
             if name == derived and ("dataset", name) not in self.store:
@@ -589,27 +608,17 @@ class Runner:
 
     def _stage_train(self, report: RunReport) -> None:
         """Train every (model, dataset) pair of the lineup."""
-        self._ensure_listed_datasets()
         for dataset_name in self.spec.datasets:
-            # Materialize with the global config before per-pair overrides
-            # apply — construction must not depend on the stage subset.
-            ensure_dataset(self.store, self.config, dataset_name)
             for model_name in self.lineup():
-                config = self.spec.config_for(model=model_name, dataset=dataset_name)
-                ensure_scorer(self.store, config, model_name, dataset_name)
+                self.scorer(model_name, dataset_name)
 
     def _stage_evaluate(self, report: RunReport) -> None:
         """Link-prediction evaluation of every (model, dataset) pair."""
-        self._ensure_listed_datasets()
         for dataset_name in self.spec.datasets:
-            ensure_dataset(self.store, self.config, dataset_name)
-            rows = []
-            for model_name in self.lineup():
-                config = self.spec.config_for(model=model_name, dataset=dataset_name)
-                rows.append(
-                    ensure_evaluation(self.store, config, model_name, dataset_name).as_row()
-                )
-            report.rows[dataset_name] = rows
+            report.rows[dataset_name] = [
+                self.evaluation(model_name, dataset_name).as_row()
+                for model_name in self.lineup()
+            ]
 
     def _stage_report(self, report: RunReport) -> None:
         """Render the human-readable session report."""

@@ -48,6 +48,7 @@ from . import schema
 
 __all__ = [
     "ExperimentSpec",
+    "ExperimentConfig",
     "DatasetSpec",
     "IngestSpec",
     "DeltasSpec",
@@ -329,16 +330,13 @@ class ExperimentSpec:
 
     def config_for(
         self, model: Optional[str] = None, dataset: Optional[str] = None
-    ):
-        """The effective :class:`~repro.experiments.config.ExperimentConfig`.
+    ) -> "ExperimentConfig":
+        """The effective :class:`ExperimentConfig` of one (model, dataset) pair.
 
         Starts from the global sections, then applies the per-dataset patch,
         then the per-model patch (most specific wins).  With no overrides this
-        equals :meth:`to_experiment_config` — which is what makes a spec run
-        bit-identical to the legacy ``Workbench`` path.
+        equals :meth:`to_experiment_config`.
         """
-        from ..experiments.config import ExperimentConfig
-
         merged = {name: self.section_values(name) for name in _SECTION_CLASSES}
         for scope, key in (("datasets", dataset), ("models", model)):
             if key is None:
@@ -346,21 +344,121 @@ class ExperimentSpec:
             patch = self.overrides.get(scope, {}).get(key, {})
             for section_name, knobs in patch.items():
                 merged[section_name].update(knobs)
-        kwargs = _experiment_config_kwargs(merged)
-        kwargs["models"] = tuple(self.models)
-        kwargs["include_amie"] = self.include_amie
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**_experiment_config_kwargs(merged))
 
-    def to_experiment_config(self):
+    def to_experiment_config(self) -> "ExperimentConfig":
         """The global (no-override) :class:`ExperimentConfig` of this spec."""
         return self.config_for()
+
+
+@dataclass
+class ExperimentConfig:
+    """The resolved knobs of one (model, dataset) pair, flattened.
+
+    :meth:`ExperimentSpec.config_for` resolves it from a spec; the stage
+    builders of :mod:`repro.api.pipeline` read it.  Every default derives
+    from the knob schema of :mod:`repro.api.schema`.
+    """
+
+    scale: str = schema.DATASET_DEFAULTS["scale"]
+    seed: int = schema.DATASET_DEFAULTS["seed"]
+    dim: int = schema.MODEL_DEFAULTS["dim"]
+    epochs: int = schema.TRAINING_DEFAULTS["epochs"]
+    batch_size: int = schema.TRAINING_DEFAULTS["batch_size"]
+    num_negatives: int = schema.TRAINING_DEFAULTS["num_negatives"]
+    learning_rate: float = schema.TRAINING_DEFAULTS["learning_rate"]
+    #: Stochastic optimizer of the training loop.
+    optimizer: str = schema.TRAINING_DEFAULTS["optimizer"]
+    #: Loss family ("default" = each model's own preference).
+    loss: str = schema.TRAINING_DEFAULTS["loss"]
+    margin: float = schema.TRAINING_DEFAULTS["margin"]
+    sampler: str = schema.TRAINING_DEFAULTS["sampler"]
+    #: Unique link-prediction queries scored per batch evaluator call.
+    eval_batch_size: int = schema.EVALUATION_DEFAULTS["batch_size"]
+    #: Worker processes for the sharded link-prediction evaluation
+    #: (``1`` = exact in-process path, no pool).
+    eval_workers: int = schema.EVALUATION_DEFAULTS["workers"]
+    #: Queries per evaluation shard (``None`` = one balanced shard per worker).
+    eval_shard_size: Optional[int] = schema.EVALUATION_DEFAULTS["shard_size"]
+    #: Array backend the batch score kernels compute on ("auto" picks the
+    #: first available accelerator, falling back to numpy).
+    eval_backend: str = schema.EVALUATION_DEFAULTS["backend"]
+    #: Candidate-scoring dtype (fp64 = bit-identity reference).
+    eval_dtype: str = schema.EVALUATION_DEFAULTS["eval_dtype"]
+    #: Labelled triples per chunk of the streaming TSV ingestion pipeline.
+    ingest_chunk_size: int = schema.INGEST_DEFAULTS["chunk_size"]
+    #: Bounded-queue depth (in chunks) of the ingest pipeline; peak
+    #: labelled-triple residency is ``ingest_chunk_size * (ingest_max_queue_chunks + 2)``.
+    ingest_max_queue_chunks: int = schema.INGEST_DEFAULTS["max_queue_chunks"]
+    #: Fused stream-to-shard execution: ingested splits stay array views that
+    #: feed training and sharded evaluation directly (bit-identical results,
+    #: no indexed Dataset materialization).
+    ingest_fused: bool = schema.INGEST_DEFAULTS["fused"]
+    #: Row-indexed sparse gradients + lazy per-row optimizer updates
+    #: (``False`` = the dense reference training path).
+    sparse_updates: bool = schema.TRAINING_DEFAULTS["sparse_updates"]
+    #: Max coalesced rows per sparse optimizer update before the step is
+    #: densified (``None`` = never).
+    row_budget: Optional[int] = schema.TRAINING_DEFAULTS["row_budget"]
+    #: Epochs between validation-MRR passes during training (0 = off).
+    validate_every: int = schema.TRAINING_DEFAULTS["validate_every"]
+    #: Validation checks without a new best MRR before early stopping (0 = off).
+    patience: int = schema.TRAINING_DEFAULTS["patience"]
+    #: Reload the best-validation-MRR snapshot before a training run returns.
+    restore_best: bool = schema.TRAINING_DEFAULTS["restore_best"]
+    #: Directory for periodic training checkpoints (None = off).
+    checkpoint_dir: Optional[str] = schema.TRAINING_DEFAULTS["checkpoint_dir"]
+    #: Epochs between checkpoints (0 disables periodic saves).
+    checkpoint_every: int = schema.TRAINING_DEFAULTS["checkpoint_every"]
+    #: L2 weight decay folded into the optimizer step (sparse runs touch only
+    #: the batch rows, keeping regularized training O(batch) per step).
+    weight_decay: float = schema.TRAINING_DEFAULTS["weight_decay"]
+    #: Overlap / density threshold of the Section 4 redundancy audit.
+    audit_theta: float = schema.AUDIT_DEFAULTS["theta"]
+    #: Redundancy thresholds used for the YAGO-style analysis (the paper keeps
+    #: 0.8 for FB15k but treats the 0.75-overlap YAGO pair as duplicates).
+    yago_theta: float = schema.AUDIT_DEFAULTS["yago_theta"]
+
+    def model_config(self, model_name: str):
+        """The :class:`~repro.models.base.ModelConfig` of ``model_name``."""
+        from ..models.base import ModelConfig
+
+        extra: Dict[str, float] = {}
+        if model_name == "ConvE":
+            extra = {"embedding_height": 4}
+        return ModelConfig(dim=self.dim, seed=self.seed, extra=extra)
+
+    def training_config(self):
+        """The :class:`~repro.models.trainer.TrainingConfig` of this pair."""
+        from ..models.trainer import TrainingConfig
+
+        return TrainingConfig(
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            optimizer=self.optimizer,
+            num_negatives=self.num_negatives,
+            loss=self.loss,
+            margin=self.margin,
+            sampler=self.sampler,
+            seed=self.seed,
+            sparse_updates=self.sparse_updates,
+            row_budget=self.row_budget,
+            validate_every=self.validate_every,
+            patience=self.patience,
+            restore_best=self.restore_best,
+            validation_batch_size=self.eval_batch_size,
+            validation_workers=self.eval_workers,
+            checkpoint_dir=self.checkpoint_dir,
+            checkpoint_every=self.checkpoint_every,
+            weight_decay=self.weight_decay,
+        )
 
 
 def _experiment_config_kwargs(merged: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     """Map merged section values onto ``ExperimentConfig`` keyword arguments."""
     dataset, ingest, audit = merged["dataset"], merged["ingest"], merged["audit"]
     model, training, evaluation = merged["model"], merged["training"], merged["evaluation"]
-    telemetry = merged["telemetry"]
     return dict(
         scale=dataset["scale"],
         seed=dataset["seed"],
@@ -391,9 +489,6 @@ def _experiment_config_kwargs(merged: Dict[str, Dict[str, Any]]) -> Dict[str, An
         ingest_fused=ingest["fused"],
         audit_theta=audit["theta"],
         yago_theta=audit["yago_theta"],
-        telemetry_enabled=telemetry["enabled"],
-        telemetry_trace_path=telemetry["trace_path"],
-        telemetry_profile=telemetry["profile"],
     )
 
 
@@ -811,7 +906,35 @@ def _spec_from_dict(data: Dict[str, Any]) -> Tuple["ExperimentSpec", List[SpecEr
                 "without validation passes)",
             )
         )
+    errors.extend(_conve_reshape_errors(spec))
     return spec, errors
+
+
+def _conve_reshape_errors(spec: "ExperimentSpec") -> List[SpecError]:
+    """Effective ConvE dims that cannot reshape into ConvE's 2D grid.
+
+    A bad dim would otherwise only surface when training reaches ConvE,
+    after every model before it in the lineup has trained.
+    """
+    if "ConvE" not in spec.models:
+        return []
+    from ..models.conve import reshape_error
+
+    model_patch = spec.overrides.get("models", {}).get("ConvE", {}).get("model", {})
+    errors: Dict[str, SpecError] = {}
+    for dataset in spec.datasets or [None]:
+        dataset_patch = spec.overrides.get("datasets", {}).get(dataset, {}).get("model", {})
+        if "dim" in model_patch:
+            path = "overrides.models.ConvE.model.dim"
+        elif "dim" in dataset_patch:
+            path = f"overrides.datasets.{dataset}.model.dim"
+        else:
+            path = "model.dim"
+        config = spec.config_for(model="ConvE", dataset=dataset)
+        problem = reshape_error(config.model_config("ConvE"))
+        if problem and path not in errors:
+            errors[path] = SpecError(path, f"ConvE cannot use dim {config.dim}: {problem}")
+    return list(errors.values())
 
 
 # --------------------------------------------------------------------------- TOML emit
@@ -921,7 +1044,7 @@ def spec_template() -> str:
         "# Per-model / per-dataset patches (sections: "
         + ", ".join(schema.OVERRIDABLE_SECTIONS) + "), e.g.:",
         "# [overrides.models.ConvE.model]",
-        "# dim = 8",
+        "# dim = 32",
         '# [overrides.datasets."YAGO3-10-like".audit]',
         "# theta = 0.7",
     ]

@@ -57,8 +57,11 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .api import schema
+from .api.artifacts import ArtifactStore
 from .api.options import EvalOptions
+from .api.pipeline import Runner, ensure_dataset
 from .api.spec import (
+    ExperimentConfig,
     ExperimentSpec,
     SpecValidationError,
     check_knob_value,
@@ -72,37 +75,32 @@ from .core import (
     category_distribution,
     dataset_relation_categories,
     find_cartesian_relations,
-    make_fb15k237_like,
-    make_wn18rr_like,
-    make_yago_dr_like,
     remove_redundant_relations,
     render_key_values,
     render_table,
 )
 from .eval import evaluate_model
-from .experiments import EXPERIMENT_INDEX, Workbench
+from .experiments import DATASET_EXPERIMENTS, EXPERIMENT_INDEX
 from .kg import (
     Dataset,
     DatasetIOError,
     dataset_statistics,
-    fb15k_like,
     ingest_dataset,
     load_dataset,
     save_dataset,
-    wn18_like,
-    yago3_like,
 )
 from .models import ALL_EMBEDDING_MODELS, TrainingRun, make_model
 
-#: Names accepted by ``--dataset`` when not pointing at a directory.
-GENERATED_DATASETS = (
-    "fb15k",
-    "fb15k-237",
-    "wn18",
-    "wn18rr",
-    "yago3-10",
-    "yago3-10-dr",
-)
+#: Names accepted by ``--dataset`` when not pointing at a directory, mapped
+#: to the replica keys of :mod:`repro.api.schema`.
+GENERATED_DATASETS = {
+    "fb15k": schema.FB15K,
+    "fb15k-237": schema.FB15K237,
+    "wn18": schema.WN18,
+    "wn18rr": schema.WN18RR,
+    "yago3-10": schema.YAGO,
+    "yago3-10-dr": schema.YAGO_DR,
+}
 
 #: Generated flags per subcommand: ``{command: {dest: (section, knob)}}``.
 #: The regression suite walks this to assert parser defaults == schema
@@ -197,13 +195,19 @@ def _parsed_knob_values(args: argparse.Namespace, command: str) -> Dict[Tuple[st
     return values
 
 
-def _spec_from_args(args: argparse.Namespace, command: str) -> ExperimentSpec:
+def _spec_from_args(
+    args: argparse.Namespace, command: str, models: Optional[Sequence[str]] = None
+) -> ExperimentSpec:
     """An :class:`ExperimentSpec` carrying the subcommand's parsed knob values.
 
-    The parsed values go through the same schema validation a spec file does
-    (ranges, cross-field rules), so every surface rejects the same values.
+    ``models`` replaces the default lineup when the command trains a
+    different one.  The parsed values go through the same schema validation
+    a spec file does (ranges, cross-field rules), so every surface rejects
+    the same values.
     """
     spec = ExperimentSpec()
+    if models is not None:
+        spec.models = list(models)
     for (section_name, knob_name), value in _parsed_knob_values(args, command).items():
         setattr(getattr(spec, section_name), knob_name, value)
     errors = spec.validate()
@@ -214,27 +218,17 @@ def _spec_from_args(args: argparse.Namespace, command: str) -> ExperimentSpec:
     return spec
 
 
-def _build_named_dataset(name: str, scale: str, seed: int) -> Dataset:
-    lowered = name.lower()
-    if lowered in ("fb15k", "fb15k-237"):
-        dataset, _ = fb15k_like(scale, seed)
-        return make_fb15k237_like(dataset) if lowered == "fb15k-237" else dataset
-    if lowered in ("wn18", "wn18rr"):
-        dataset = wn18_like(scale, seed + 3)
-        return make_wn18rr_like(dataset) if lowered == "wn18rr" else dataset
-    if lowered in ("yago3-10", "yago3-10-dr"):
-        dataset = yago3_like(scale, seed + 7)
-        return make_yago_dr_like(dataset) if lowered == "yago3-10-dr" else dataset
-    raise SystemExit(
-        f"unknown dataset {name!r}: expected a directory or one of {', '.join(GENERATED_DATASETS)}"
-    )
-
-
-def _resolve_dataset(spec: str, scale: str, seed: int) -> Dataset:
-    path = Path(spec)
+def _resolve_dataset(name: str, scale: str, seed: int) -> Dataset:
+    """A TSV dataset directory, or a generated replica by its alias."""
+    path = Path(name)
     if path.is_dir():
         return load_dataset(path)
-    return _build_named_dataset(spec, scale, seed)
+    key = GENERATED_DATASETS.get(name.lower())
+    if key is None:
+        raise SystemExit(
+            f"unknown dataset {name!r}: expected a directory or one of {', '.join(GENERATED_DATASETS)}"
+        )
+    return ensure_dataset(ArtifactStore(), ExperimentConfig(scale=scale, seed=seed), key)
 
 
 class _StderrLogHandler(logging.StreamHandler):
@@ -584,19 +578,11 @@ def command_delta_audit(args: argparse.Namespace) -> int:
 def command_generate(args: argparse.Namespace) -> int:
     """Build the six replicas and write them under ``args.output``."""
     output = Path(args.output)
-    fb15k, _ = fb15k_like(args.scale, args.seed)
-    wn18 = wn18_like(args.scale, args.seed + 3)
-    yago = yago3_like(args.scale, args.seed + 7)
-    datasets = [
-        fb15k,
-        make_fb15k237_like(fb15k),
-        wn18,
-        make_wn18rr_like(wn18),
-        yago,
-        make_yago_dr_like(yago),
-    ]
+    store = ArtifactStore()
+    config = ExperimentConfig(scale=args.scale, seed=args.seed)
     rows = []
-    for dataset in datasets:
+    for key in schema.ALL_DATASETS:
+        dataset = ensure_dataset(store, config, key)
         save_dataset(dataset, output / dataset.name)
         rows.append(dataset_statistics(dataset).as_row())
     print(render_table(rows, title=f"Datasets written under {output}"))
@@ -733,7 +719,7 @@ def command_ingest(args: argparse.Namespace) -> int:
 def command_train(args: argparse.Namespace) -> int:
     """Train one model on one dataset and print its evaluation row."""
     _configure_logging(args.verbose, args.quiet)
-    config = _spec_from_args(args, "train").to_experiment_config()
+    config = _spec_from_args(args, "train", models=[args.model]).to_experiment_config()
     dataset = _resolve_dataset(args.dataset, config.scale, config.seed)
     model = make_model(
         args.model,
@@ -892,10 +878,12 @@ def command_experiment(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"unknown experiment {unknown[0]!r}; available: {', '.join(EXPERIMENT_INDEX)}, all"
         )
-    config = _spec_from_args(args, "experiment").to_experiment_config()
-    workbench = Workbench(config)
+    # A session of dataset-only drivers trains nothing, so it declares no
+    # lineup (and no lineup knob, such as ConvE's dim, can reject it).
+    trains = not set(keys) <= set(DATASET_EXPERIMENTS)
+    runner = Runner(_spec_from_args(args, "experiment", models=None if trains else []))
     for key in keys:
-        result = EXPERIMENT_INDEX[key](workbench)
+        result = EXPERIMENT_INDEX[key](runner)
         print(result["text"])
         print()
     return 0

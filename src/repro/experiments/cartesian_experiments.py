@@ -4,24 +4,26 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..api.options import EvalOptions
+from ..api.pipeline import Runner, ensure_snapshot
+from ..api.schema import FB15K, FB15K237
 from ..core.cartesian import CartesianProductPredictor, find_cartesian_relations
 from ..core.reporting import render_table
 from ..eval.ranking import LinkPredictionEvaluator
-from .config import FB15K, FB15K237, Workbench
 
 
-def _cartesian_relations_in(workbench: Workbench, dataset_name: str) -> List[int]:
+def _cartesian_relations_in(runner: Runner, dataset_name: str) -> List[int]:
     """Cartesian relations detected in a dataset (over all splits, as in §4.3)."""
-    dataset = workbench.dataset(dataset_name)
+    dataset = runner.dataset(dataset_name)
     detected = find_cartesian_relations(dataset.all_triples(), density_threshold=0.75)
     return [item.relation for item in detected]
 
 
-def table2_cartesian_strength(workbench: Workbench) -> Dict[str, object]:
+def table2_cartesian_strength(runner: Runner) -> Dict[str, object]:
     """Table 2: the strong FMRR results on Cartesian product relations in FB15k-237-like."""
-    dataset = workbench.dataset(FB15K237)
-    relations = _cartesian_relations_in(workbench, FB15K237)
-    models = list(workbench.config.models)
+    dataset = runner.dataset(FB15K237)
+    relations = _cartesian_relations_in(runner, FB15K237)
+    models = list(runner.spec.models)
     rows: List[Dict[str, object]] = []
     for relation in relations:
         test_count = dataset.test.relation_size(relation)
@@ -32,7 +34,7 @@ def table2_cartesian_strength(workbench: Workbench) -> Dict[str, object]:
             "#test triples": test_count,
         }
         for model_name in models:
-            result = workbench.evaluation(model_name, FB15K237)
+            result = runner.evaluation(model_name, FB15K237)
             pair = result.metrics_for(lambda record, rel=relation: record.relation == rel)
             row[model_name] = pair.filtered.mean_reciprocal_rank
         rows.append(row)
@@ -46,7 +48,7 @@ def table2_cartesian_strength(workbench: Workbench) -> Dict[str, object]:
     }
 
 
-def table3_cartesian_predictor(workbench: Workbench) -> Dict[str, object]:
+def table3_cartesian_predictor(runner: Runner) -> Dict[str, object]:
     """Tables 3 and 4: the Cartesian-product-property predictor vs TransE.
 
     Three configurations are compared per Cartesian relation, exactly as in
@@ -55,18 +57,18 @@ def table3_cartesian_predictor(workbench: Workbench) -> Dict[str, object]:
     with the (larger) simulated Freebase snapshot as ground truth for the
     filtered measures.
     """
-    dataset = workbench.dataset(FB15K)
-    snapshot = workbench.snapshot()
+    dataset = runner.dataset(FB15K)
+    snapshot = ensure_snapshot(runner.store, runner.config)
     snapshot_triples = snapshot.triple_set(dataset.vocab)
-    relations = _cartesian_relations_in(workbench, FB15K)
+    relations = _cartesian_relations_in(runner, FB15K)
 
-    transe_result = workbench.evaluation("TransE", FB15K)
+    transe_result = runner.evaluation("TransE", FB15K)
     cartesian_predictor = CartesianProductPredictor(
         dataset.train, dataset.num_entities, density_threshold=0.75
     )
-    from ..api.options import EvalOptions
-
-    options = EvalOptions.from_experiment_config(workbench.config)
+    options = EvalOptions.from_experiment_config(
+        runner.spec.config_for(model="CartesianProduct", dataset=FB15K)
+    )
     benchmark_evaluator = LinkPredictionEvaluator(dataset, options=options)
     snapshot_evaluator = LinkPredictionEvaluator(
         dataset, extra_ground_truth=snapshot_triples, options=options

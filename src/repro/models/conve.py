@@ -10,12 +10,39 @@ convergence and our training runs are small) while dropout is kept.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..autodiff import Tensor, conv2d
 from .base import KGEModel, ModelConfig, iter_row_slices
+
+
+def _grid(config: ModelConfig) -> Tuple[int, int, int]:
+    """``(embedding_height, embedding_width, kernel_size)`` of ``config``."""
+    height = int(config.extra.get("embedding_height", 4))
+    width = int(config.extra.get("embedding_width", config.dim // height))
+    return height, width, int(config.extra.get("kernel_size", 3))
+
+
+def reshape_error(config: ModelConfig) -> Optional[str]:
+    """Why ``config`` cannot reshape into ConvE's 2D grid (``None`` = it can).
+
+    The head and relation grids stack to ``2 * height`` rows of ``width``
+    columns, and the valid convolution needs the kernel to fit in both.
+    """
+    height, width, kernel_size = _grid(config)
+    if height * width != config.dim:
+        return (
+            f"embedding_height * embedding_width must equal dim "
+            f"({height} * {width} != {config.dim})"
+        )
+    if 2 * height < kernel_size or width < kernel_size:
+        return (
+            f"kernel_size too large for the embedding reshape "
+            f"({kernel_size}x{kernel_size} kernel, {height}x{width} grid)"
+        )
+    return None
 
 
 class ConvE(KGEModel):
@@ -38,22 +65,14 @@ class ConvE(KGEModel):
     def __init__(self, num_entities: int, num_relations: int, config: Optional[ModelConfig] = None) -> None:
         super().__init__(num_entities, num_relations, config)
         dim = self.config.dim
-        self.height = int(self.config.extra.get("embedding_height", 4))
-        self.width = int(self.config.extra.get("embedding_width", dim // self.height))
-        if self.height * self.width != dim:
-            raise ValueError(
-                f"embedding_height * embedding_width must equal dim "
-                f"({self.height} * {self.width} != {dim})"
-            )
+        problem = reshape_error(self.config)
+        if problem:
+            raise ValueError(problem)
+        self.height, self.width, self.kernel_size = _grid(self.config)
         self.num_filters = int(self.config.extra.get("num_filters", 8))
-        self.kernel_size = int(self.config.extra.get("kernel_size", 3))
         self.dropout_rate = float(self.config.extra.get("dropout", 0.1))
-
-        stacked_height = 2 * self.height
-        conv_out_h = stacked_height - self.kernel_size + 1
+        conv_out_h = 2 * self.height - self.kernel_size + 1
         conv_out_w = self.width - self.kernel_size + 1
-        if conv_out_h <= 0 or conv_out_w <= 0:
-            raise ValueError("kernel_size too large for the embedding reshape")
         self.flat_size = self.num_filters * conv_out_h * conv_out_w
 
         self.entity = self.register_parameter("entity", self.normal_init(num_entities, dim, std=0.3))

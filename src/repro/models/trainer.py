@@ -88,8 +88,8 @@ class TrainingConfig:
 
     Hyper-parameter defaults derive from the knob schema of
     :mod:`repro.api.schema` — the same definitions behind
-    ``ExperimentSpec.training``, ``ExperimentConfig`` and the generated CLI
-    flags — so the four surfaces cannot drift apart.
+    ``ExperimentSpec.training``, ``repro.api.spec.ExperimentConfig`` and the
+    generated CLI flags — so the four surfaces cannot drift apart.
     """
 
     epochs: int = TRAINING_DEFAULTS["epochs"]

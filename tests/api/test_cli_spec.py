@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import ExperimentSpec, Runner, schema
+from repro.api import ArtifactStore, ExperimentSpec, Runner, schema
+from repro.api.pipeline import ensure_evaluation
+from repro.api.spec import ExperimentConfig
 from repro.cli import GENERATED_KNOB_FLAGS, build_parser, main
-from repro.experiments import ExperimentConfig, Workbench
 from repro.telemetry import read_trace_jsonl, scoped
 
 EXAMPLE_SPECS = sorted((Path(__file__).parents[2] / "examples" / "specs").glob("*.toml"))
@@ -201,33 +202,30 @@ def test_shipped_example_specs_validate_and_round_trip(path):
 
 
 # ------------------------------------------------------------------ run subcommand
-def test_run_headline_spec_is_bit_identical_to_the_legacy_path(capsys):
+def test_run_headline_spec_is_bit_identical_to_the_builders(capsys):
     """Acceptance: `repro-kgc run examples/specs/headline_tiny.toml` metrics
-    equal the equivalent legacy Workbench/flag invocation bit for bit."""
+    equal direct builder calls with the same knobs bit for bit."""
     spec_path = next(path for path in EXAMPLE_SPECS if path.name == "headline_tiny.toml")
     spec = ExperimentSpec.load(spec_path)
     report = Runner(spec).run()
 
-    legacy = Workbench(
-        ExperimentConfig(
-            scale=spec.dataset.scale,
-            seed=spec.dataset.seed,
-            dim=spec.model.dim,
-            epochs=spec.training.epochs,
-            batch_size=spec.training.batch_size,
-            num_negatives=spec.training.num_negatives,
-            learning_rate=spec.training.learning_rate,
-            optimizer=spec.training.optimizer,
-            eval_batch_size=spec.evaluation.batch_size,
-            models=tuple(spec.models),
-            include_amie=spec.include_amie,
-        )
+    store = ArtifactStore()
+    config = ExperimentConfig(
+        scale=spec.dataset.scale,
+        seed=spec.dataset.seed,
+        dim=spec.model.dim,
+        epochs=spec.training.epochs,
+        batch_size=spec.training.batch_size,
+        num_negatives=spec.training.num_negatives,
+        learning_rate=spec.training.learning_rate,
+        optimizer=spec.training.optimizer,
+        eval_batch_size=spec.evaluation.batch_size,
     )
     assert set(report.rows) == set(spec.datasets)
     for dataset_name in spec.datasets:
         for row in report.rows[dataset_name]:
-            legacy_row = legacy.evaluation(row["model"], dataset_name).as_row()
-            assert dict(row) == dict(legacy_row), (row["model"], dataset_name)
+            reference = ensure_evaluation(store, config, row["model"], dataset_name).as_row()
+            assert dict(row) == dict(reference), (row["model"], dataset_name)
 
     # And the CLI surface prints those very numbers.
     assert main(["run", str(spec_path), "--quiet"]) == 0

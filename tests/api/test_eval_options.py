@@ -12,8 +12,8 @@ import pytest
 
 from repro.api import EvalOptions, schema
 from repro.api.options import NON_SCHEMA_FIELDS
+from repro.api.spec import ExperimentConfig
 from repro.eval import LinkPredictionEvaluator, evaluate_model
-from repro.experiments import ExperimentConfig
 
 
 # ------------------------------------------------------------------ schema sync
@@ -53,6 +53,7 @@ def test_from_experiment_config_reads_the_eval_knobs():
     assert options.batch_size == 9
     assert options.workers == 2
     assert options.shard_size == config.eval_shard_size
+    assert (options.backend, options.eval_dtype) == (config.eval_backend, config.eval_dtype)
 
 
 # ------------------------------------------------------------------ validation

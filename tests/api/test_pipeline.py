@@ -1,12 +1,12 @@
 """Pipeline-layer tests: the artifact store, the staged runner, and the
-bit-identity contract between a spec run and the legacy Workbench path."""
+bit-identity contract between a spec run and direct builder calls."""
 
 import numpy as np
 import pytest
 
 from repro.api import ArtifactStore, ExperimentSpec, Runner
-from repro.api.spec import SpecValidationError
-from repro.experiments import ExperimentConfig, Workbench
+from repro.api.pipeline import ensure_evaluation, ensure_scorer
+from repro.api.spec import ExperimentConfig, SpecValidationError
 from repro.telemetry import read_trace_jsonl, scoped
 
 
@@ -103,7 +103,7 @@ def test_runner_stage_subset_and_report_shape():
 
 
 # ------------------------------------------------------------------ bit-identity
-def test_spec_run_is_bit_identical_to_workbench():
+def test_spec_run_is_bit_identical_to_the_builders():
     """The acceptance contract: same knobs => bit-identical metrics."""
     spec = ExperimentSpec(
         name="parity",
@@ -115,13 +115,11 @@ def test_spec_run_is_bit_identical_to_workbench():
     spec.training.epochs = 3
     report = Runner(spec).run()
 
-    workbench = Workbench(
-        ExperimentConfig(dim=8, epochs=3, models=("TransE", "DistMult"))
-    )
+    store, config = ArtifactStore(), ExperimentConfig(dim=8, epochs=3)
     for dataset_name in spec.datasets:
         for row in report.rows[dataset_name]:
-            legacy = workbench.evaluation(row["model"], dataset_name).as_row()
-            assert dict(row) == dict(legacy), (row["model"], dataset_name)
+            reference = ensure_evaluation(store, config, row["model"], dataset_name).as_row()
+            assert dict(row) == dict(reference), (row["model"], dataset_name)
 
 
 def test_per_model_override_changes_only_that_model():
@@ -130,13 +128,14 @@ def test_per_model_override_changes_only_that_model():
     spec.overrides = {"models": {"TransE": {"training": {"epochs": 1}}}}
     runner = Runner(spec)
     runner.run(stages=["train"])
-    # Equivalent manual runs: DistMult trained with the global 2 epochs,
+    # Equivalent manual builds: DistMult trained with the global 2 epochs,
     # TransE with the overridden single epoch.
-    base = Workbench(ExperimentConfig(dim=8, epochs=2, models=("DistMult",)))
-    patched = Workbench(ExperimentConfig(dim=8, epochs=1, models=("TransE",)))
-    for model_name, reference in (("DistMult", base), ("TransE", patched)):
+    store = ArtifactStore()
+    base = ExperimentConfig(dim=8, epochs=2)
+    patched = ExperimentConfig(dim=8, epochs=1)
+    for model_name, config in (("DistMult", base), ("TransE", patched)):
         ours = runner.store[("scorer", model_name, "WN18RR-like")]
-        theirs = reference.scorer(model_name, "WN18RR-like")
+        theirs = ensure_scorer(store, config, model_name, "WN18RR-like")
         for name, parameter in theirs.parameters().items():
             assert np.array_equal(parameter.data, ours.parameters()[name].data), (
                 model_name, name,
@@ -230,18 +229,18 @@ def test_dataset_construction_ignores_audit_overrides_for_any_stage_subset():
     assert via_audit.spec.config_for(dataset="YAGO3-10-like-DR").yago_theta == 0.95
 
 
-# ------------------------------------------------------------------ workbench shim
-def test_workbench_exposes_and_shares_the_artifact_store():
-    config = ExperimentConfig(dim=8, epochs=1, models=("DistMult",))
-    workbench = Workbench(config)
-    assert isinstance(workbench.artifacts, ArtifactStore)
-    dataset = workbench.dataset("WN18RR-like")
-    assert workbench.artifacts[("dataset", "WN18RR-like")] is dataset
-    evaluation = workbench.evaluation("DistMult", "WN18RR-like")
-    assert workbench.artifacts[("evaluation", "DistMult", "WN18RR-like")] is evaluation
+# ------------------------------------------------------------------ runner accessors
+def test_runner_accessors_share_the_artifact_store():
+    spec = _tiny_spec(epochs=1)
+    runner = Runner(spec)
+    assert isinstance(runner.store, ArtifactStore)
+    dataset = runner.dataset("WN18RR-like")
+    assert runner.store[("dataset", "WN18RR-like")] is dataset
+    evaluation = runner.evaluation("DistMult", "WN18RR-like")
+    assert runner.store[("evaluation", "DistMult", "WN18RR-like")] is evaluation
 
-    # A second Workbench over the same store reuses every artifact.
-    sibling = Workbench(config, store=workbench.artifacts)
+    # A second Runner over the same store reuses every artifact.
+    sibling = Runner(spec, store=runner.store)
     assert sibling.dataset("WN18RR-like") is dataset
     assert sibling.evaluation("DistMult", "WN18RR-like") is evaluation
 

@@ -53,8 +53,8 @@ def test_schema_flags_and_dests_are_unique_per_section_set():
 def test_derived_defaults_are_the_schema_defaults():
     """ExperimentConfig, TrainingConfig and the evaluator/ingester constants
     all derive from the schema — the drift the spec API was built to kill."""
+    from repro.api.spec import ExperimentConfig
     from repro.eval.ranking import DEFAULT_EVAL_BATCH_SIZE
-    from repro.experiments.config import ExperimentConfig
     from repro.kg.streaming import DEFAULT_CHUNK_SIZE, DEFAULT_MAX_QUEUE_CHUNKS
     from repro.models.trainer import TrainingConfig
 
@@ -79,7 +79,7 @@ def test_derived_defaults_are_the_schema_defaults():
 
 
 def test_default_spec_equals_default_experiment_config():
-    from repro.experiments.config import ExperimentConfig
+    from repro.api.spec import ExperimentConfig
 
     assert ExperimentSpec().to_experiment_config() == ExperimentConfig()
 
@@ -102,7 +102,7 @@ def test_dump_load_file_round_trip(tmp_path):
 def test_overrides_round_trip():
     spec = ExperimentSpec(
         overrides={
-            "models": {"ConvE": {"model": {"dim": 8}, "training": {"learning_rate": 0.01}}},
+            "models": {"ConvE": {"model": {"dim": 16}, "training": {"learning_rate": 0.01}}},
             "datasets": {"YAGO3-10-like": {"audit": {"theta": 0.7}}},
         }
     )
@@ -177,6 +177,12 @@ def specs(draw):
         target = draw(st.sampled_from(spec.models))
         if target not in schema.BASELINE_SCORERS:
             spec.overrides = {"models": {target: {"model": {"dim": draw(st.integers(1, 64))}}}}
+    if "ConvE" in spec.models:
+        # ConvE reshapes dim into a 4-row grid at least 3 columns wide.
+        spec.model.dim = 4 * max(3, spec.model.dim // 4)
+        patch = spec.overrides.get("models", {}).get("ConvE", {}).get("model")
+        if patch:
+            patch["dim"] = 4 * max(3, patch["dim"] // 4)
     return spec
 
 
@@ -330,6 +336,37 @@ def test_invalid_toml_and_json_report_parse_errors():
 def test_stage_order_is_normalized_to_canonical():
     spec = ExperimentSpec.loads('stages = ["report", "train", "ingest"]\n')
     assert spec.stages == ["ingest", "train", "report"]
+
+
+def test_validation_rejects_a_conve_dim_its_reshape_cannot_take():
+    spec = ExperimentSpec(models=["TransE", "ConvE"])
+    spec.model.dim = 8
+    errors = spec.validate()
+    assert [error.path for error in errors] == ["model.dim"]
+    assert "ConvE cannot use dim 8" in errors[0].message
+    assert "kernel_size too large" in errors[0].message
+    # A dim that is no multiple of the 4-row grid fails on the product rule.
+    spec.model.dim = 18
+    assert "must equal dim" in spec.validate()[0].message
+
+
+def test_validation_accepts_dim_8_without_conve():
+    spec = ExperimentSpec(models=["TransE", "DistMult"])
+    spec.model.dim = 8
+    assert spec.validate() == []
+
+
+def test_validation_reads_the_effective_conve_dim_from_its_override():
+    spec = ExperimentSpec(
+        models=["TransE", "ConvE"],
+        overrides={"models": {"ConvE": {"model": {"dim": 16}}}},
+    )
+    spec.model.dim = 8
+    assert spec.validate() == []
+    # And a bad override is reported at the override's own path.
+    spec.model.dim = 16
+    spec.overrides = {"models": {"ConvE": {"model": {"dim": 8}}}}
+    assert [error.path for error in spec.validate()] == ["overrides.models.ConvE.model.dim"]
 
 
 # ------------------------------------------------------------------ overrides / derivation

@@ -1,24 +1,25 @@
 """Integration tests: the experiment drivers reproduce the paper's qualitative claims.
 
-A single session-scoped :class:`Workbench` is shared by every test so each
-(model, dataset) pair is trained exactly once with a deliberately small budget;
+A single session-scoped :class:`repro.api.Runner` is shared by every test so
+each (model, dataset) pair is trained exactly once with a deliberately small budget;
 the assertions target structure and direction (the paper's R1-R3 claims), not
 absolute accuracy values.
 """
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.api import ExperimentSpec, Runner
+from repro.api.pipeline import ingest_dataset_into_store
 from repro.experiments import (
     ALL_DATASETS,
     EXPERIMENT_INDEX,
-    ExperimentConfig,
     FB15K,
     FB15K237,
     WN18,
     WN18RR,
-    Workbench,
     ablation_thresholds,
     figure1_overview,
     figure2_mediators,
@@ -39,67 +40,76 @@ from repro.experiments import (
 )
 
 
-@pytest.fixture(scope="session")
-def workbench() -> Workbench:
-    config = ExperimentConfig(
-        scale="tiny",
-        seed=13,
-        dim=16,
-        epochs=10,
-        num_negatives=2,
-        models=("TransE", "DistMult", "ComplEx", "RotatE"),
+def _session_spec(**evaluation) -> ExperimentSpec:
+    spec = ExperimentSpec(
+        name="experiments-tiny",
+        models=["TransE", "DistMult", "ComplEx", "RotatE"],
         include_amie=True,
     )
-    return Workbench(config)
+    spec.dataset.scale = "tiny"
+    spec.dataset.seed = 13
+    spec.model.dim = 16
+    spec.training.epochs = 10
+    spec.training.num_negatives = 2
+    for key, value in evaluation.items():
+        setattr(spec.evaluation, key, value)
+    return spec
 
 
-# ------------------------------------------------------------------ workbench mechanics
-def test_workbench_builds_all_six_datasets(workbench):
-    datasets = workbench.all_datasets()
+@pytest.fixture(scope="session")
+def runner() -> Runner:
+    return Runner(_session_spec())
+
+
+# ------------------------------------------------------------------ runner mechanics
+def test_runner_builds_all_six_datasets(runner):
+    datasets = {name: runner.dataset(name) for name in ALL_DATASETS}
     assert set(datasets) == set(ALL_DATASETS)
     assert len(datasets[FB15K237].train) < len(datasets[FB15K].train)
     assert len(datasets[WN18RR].train) < len(datasets[WN18].train)
 
 
-def test_workbench_rejects_unknown_dataset(workbench):
+def test_runner_rejects_unknown_dataset(runner):
     with pytest.raises(KeyError):
-        workbench.dataset("FB15k-999")
+        runner.dataset("FB15k-999")
 
 
-def test_workbench_caches_scorers_and_evaluations(workbench):
-    first = workbench.scorer("TransE", FB15K)
-    second = workbench.scorer("TransE", FB15K)
+def test_runner_caches_scorers_and_evaluations(runner):
+    first = runner.scorer("TransE", FB15K)
+    second = runner.scorer("TransE", FB15K)
     assert first is second
-    assert workbench.evaluation("TransE", FB15K) is workbench.evaluation("TransE", FB15K)
+    assert runner.evaluation("TransE", FB15K) is runner.evaluation("TransE", FB15K)
 
 
-def test_workbench_ingests_streamed_dataset(workbench, tmp_path, toy_dataset):
-    """A stream-ingested directory plugs into the workbench's analysis caches."""
+def test_runner_analyses_a_streamed_dataset(tmp_path, toy_dataset):
+    """A stream-ingested directory plugs into the runner's analysis accessors."""
     from repro.kg import save_dataset
 
     directory = save_dataset(toy_dataset, tmp_path / "toy")
-    ingest_bench = Workbench(
-        ExperimentConfig(scale="tiny", seed=13, ingest_chunk_size=4, ingest_max_queue_chunks=2)
-    )
-    dataset = ingest_bench.ingest(directory)
+    spec = _session_spec()
+    spec.ingest.chunk_size = 4
+    spec.ingest.max_queue_chunks = 2
+    ingest_runner = Runner(spec)
+    dataset = ingest_dataset_into_store(ingest_runner.store, ingest_runner.config, directory)
     assert dataset.name == "toy"
-    assert ingest_bench.dataset("toy") is dataset
+    assert ingest_runner.store[("ingest_report", "toy")].chunk_size == 4
+    assert ingest_runner.dataset("toy") is dataset
     # the streamed dataset matches the source label-wise and feeds the audit accessors
     streamed_labels = {dataset.vocab.decode_triple(t) for t in dataset.train}
     source_labels = {toy_dataset.vocab.decode_triple(t) for t in toy_dataset.train}
     assert streamed_labels == source_labels
-    report = ingest_bench.redundancy("toy")
+    report = ingest_runner.redundancy("toy")
     assert report.reverse_pairs  # directed_by / films_directed
 
 
-def test_workbench_reingest_invalidates_analysis_caches(tmp_path, toy_dataset):
+def test_reingest_invalidates_the_runner_analyses(tmp_path, toy_dataset):
     """Re-ingesting under the same name must not serve the old data's analyses."""
     from repro.kg import Dataset, TripleSet, Vocabulary, save_dataset
 
-    bench = Workbench(ExperimentConfig(scale="tiny", seed=13))
+    runner = Runner(_session_spec())
     directory = save_dataset(toy_dataset, tmp_path / "v1")
-    bench.ingest(directory, name="mydata")
-    assert bench.redundancy("mydata").reverse_pairs
+    ingest_dataset_into_store(runner.store, runner.config, directory, name="mydata")
+    assert runner.redundancy("mydata").reverse_pairs
 
     # v2: a plain chain with no redundancy at all, exported under the same name
     vocab = Vocabulary.from_labels([f"e{i}" for i in range(4)], ["r"])
@@ -110,37 +120,29 @@ def test_workbench_reingest_invalidates_analysis_caches(tmp_path, toy_dataset):
         valid=TripleSet(),
         test=TripleSet(),
     )
-    bench.ingest(save_dataset(plain, tmp_path / "v2"), name="mydata")
-    fresh = bench.redundancy("mydata")
+    ingest_dataset_into_store(
+        runner.store, runner.config, save_dataset(plain, tmp_path / "v2"), name="mydata"
+    )
+    fresh = runner.redundancy("mydata")
     assert not fresh.reverse_pairs
     assert not fresh.duplicate_pairs
 
 
 @pytest.mark.multiprocess
-def test_workbench_sharded_evaluation_matches_single_process(workbench, capped_workers):
-    """A sharded workbench reports bit-identical metrics for the same scorer."""
-    single = workbench.evaluation("DistMult", WN18RR)
-    sharded_bench = Workbench(
-        ExperimentConfig(
-            scale="tiny",
-            seed=13,
-            dim=16,
-            epochs=10,
-            num_negatives=2,
-            models=("DistMult",),
-            eval_workers=capped_workers(2),
-            eval_shard_size=8,
-        )
-    )
-    sharded = sharded_bench.evaluation("DistMult", WN18RR)
+def test_sharded_runner_evaluation_matches_single_process(runner, capped_workers):
+    """A sharded runner reports bit-identical metrics for the same scorer."""
+    single = runner.evaluation("DistMult", WN18RR)
+    sharded_runner = Runner(_session_spec(workers=capped_workers(2), shard_size=8))
+    sharded = sharded_runner.evaluation("DistMult", WN18RR)
     assert single.metrics().as_dict() == sharded.metrics().as_dict()
 
 
-def test_workbench_lineup_includes_amie(workbench):
-    lineup = workbench.lineup()
+def test_runner_lineup_includes_amie(runner):
+    lineup = runner.lineup()
     assert lineup[-1] == "AMIE"
     assert "TransE" in lineup
-    assert "AMIE" not in workbench.lineup(include_amie=False)
+    without_amie = dataclasses.replace(runner.spec, include_amie=False)
+    assert "AMIE" not in Runner(without_amie).lineup()
 
 
 def test_experiment_index_is_complete():
@@ -149,37 +151,37 @@ def test_experiment_index_is_complete():
 
 
 # ------------------------------------------------------------------ dataset-level drivers
-def test_table1_rows_cover_all_datasets(workbench):
-    result = table1_statistics(workbench)
+def test_table1_rows_cover_all_datasets(runner):
+    result = table1_statistics(runner)
     assert len(result["rows"]) == 6
     names = {row["Dataset"] for row in result["rows"]}
     assert names == set(ALL_DATASETS)
     assert "Table 1" in result["text"]
 
 
-def test_figure2_snapshot_statistics(workbench):
-    values = figure2_mediators(workbench)["values"]
+def test_figure2_snapshot_statistics(runner):
+    values = figure2_mediators(runner)["values"]
     assert values["triples adjacent to CVT nodes"] > 0
     assert values["concatenated relations"] > 0
     assert values["reverse_property pairs"] > 0
     assert values["snapshot triples"] > values["FB15k-like triples"]
 
 
-def test_figure4_breakdown_sums_to_100_and_shows_leakage(workbench):
-    breakdown = figure4_redundancy_pie(workbench)["breakdown"]
+def test_figure4_breakdown_sums_to_100_and_shows_leakage(runner):
+    breakdown = figure4_redundancy_pie(runner)["breakdown"]
     assert sum(breakdown.values()) == pytest.approx(100.0)
     # The dominant slices of the paper: reverse-in-train (1000) must be large.
     assert breakdown.get("1000", 0.0) > 20.0
 
 
-def test_section42_leakage_shape(workbench):
-    rows = {row["dataset"]: row for row in section42_leakage(workbench)["rows"]}
+def test_section42_leakage_shape(runner):
+    rows = {row["dataset"]: row for row in section42_leakage(runner)["rows"]}
     assert rows[WN18]["train_reverse_share"] > rows[FB15K]["train_reverse_share"]
     assert rows[FB15K]["test_reverse_in_train_share"] > 0.4
 
 
-def test_ablation_thresholds_monotone(workbench):
-    rows = ablation_thresholds(workbench)["rows"]
+def test_ablation_thresholds_monotone(runner):
+    rows = ablation_thresholds(runner)["rows"]
     thetas = [row["theta"] for row in rows]
     assert thetas == sorted(thetas)
     detected = [row["duplicate_pairs"] + row["reverse_duplicate_pairs"] + row["reverse_pairs"] for row in rows]
@@ -188,10 +190,10 @@ def test_ablation_thresholds_monotone(workbench):
 
 
 # ------------------------------------------------------------------ headline drivers
-def test_figure1_models_degrade_without_redundancy(workbench):
-    result = figure1_overview(workbench)
+def test_figure1_models_degrade_without_redundancy(runner):
+    result = figure1_overview(runner)
     series = result["series"]
-    models = list(workbench.config.models)
+    models = list(runner.spec.models)
     fb_drops = [series[FB15K][m] - series[FB15K237][m] for m in models]
     wn_drops = [series[WN18][m] - series[WN18RR][m] for m in models]
     # R1: on average the models lose accuracy once redundancy is removed, and
@@ -201,30 +203,42 @@ def test_figure1_models_degrade_without_redundancy(workbench):
     assert sum(1 for drop in wn_drops if drop > 0) >= len(models) - 1
 
 
-def test_table5_and_table6_have_full_lineups(workbench):
+def test_table5_and_table6_have_full_lineups(runner):
     for driver, expected_datasets in (
         (table5_fb15k, {"FB15k-like", "FB15k-237-like"}),
         (table6_wn18, {"WN18-like", "WN18RR-like"}),
     ):
-        rows = driver(workbench)["rows"]
+        rows = driver(runner)["rows"]
         assert {row["dataset"] for row in rows} == expected_datasets
-        assert {row["model"] for row in rows} == set(workbench.lineup())
+        assert {row["model"] for row in rows} == set(runner.lineup())
         for row in rows:
             assert not math.isnan(row["FMRR"])
             assert row["FMR"] >= 1.0
 
 
-def test_table11_yago_rows(workbench):
-    rows = table11_yago(workbench)["rows"]
+def test_table5_rows_equal_the_evaluate_stage_rows(runner):
+    """The driver and the staged pipeline read the very same evaluations."""
+    table = table5_fb15k(runner)["rows"]
+    report = runner.run(["evaluate"])
+    staged = [row for name in (FB15K, FB15K237) for row in report.rows[name]]
+
+    def key(row):
+        return row["model"], row["dataset"]
+
+    assert sorted(table, key=key) == sorted(staged, key=key)
+
+
+def test_table11_yago_rows(runner):
+    rows = table11_yago(runner)["rows"]
     assert {row["dataset"] for row in rows} == {"YAGO3-10-like", "YAGO3-10-like-DR"}
 
 
-def test_table13_simple_model_rivals_embeddings_on_redundant_data(workbench):
-    rows = {row["model"]: row for row in table13_hits1_simple_model(workbench)["rows"]}
+def test_table13_simple_model_rivals_embeddings_on_redundant_data(runner):
+    rows = {row["model"]: row for row in table13_hits1_simple_model(runner)["rows"]}
     assert "SimpleModel" in rows
     simple = rows["SimpleModel"]
     embedding_best_wn = max(
-        rows[m]["WN18-like"] for m in workbench.config.models
+        rows[m]["WN18-like"] for m in runner.spec.models
     )
     # A2: the statistics-based rule model is competitive on the leaky WN18.
     assert simple["WN18-like"] >= embedding_best_wn - 10.0
@@ -233,13 +247,13 @@ def test_table13_simple_model_rivals_embeddings_on_redundant_data(workbench):
 
 
 # ------------------------------------------------------------------ Cartesian drivers
-def test_table2_reports_cartesian_relations(workbench):
-    result = table2_cartesian_strength(workbench)
+def test_table2_reports_cartesian_relations(runner):
+    result = table2_cartesian_strength(runner)
     assert result["relations"], "expected Cartesian relations in FB15k-237-like"
 
 
-def test_table3_cartesian_predictor_beats_transe_on_cartesian_relations(workbench):
-    rows = table3_cartesian_predictor(workbench)["rows"]
+def test_table3_cartesian_predictor_beats_transe_on_cartesian_relations(runner):
+    rows = table3_cartesian_predictor(runner)["rows"]
     assert rows, "expected detected Cartesian relations with test triples"
     wins = sum(1 for row in rows if row["Cartesian(FB) FMRR"] >= row["TransE FMRR"] - 0.05)
     assert wins >= len(rows) / 2
@@ -249,8 +263,8 @@ def test_table3_cartesian_predictor_beats_transe_on_cartesian_relations(workbenc
 
 
 # ------------------------------------------------------------------ comparison drivers
-def test_table7_shares_are_percentages(workbench):
-    rows = table7_outperform_redundancy(workbench)["rows"]
+def test_table7_shares_are_percentages(runner):
+    rows = table7_outperform_redundancy(runner)["rows"]
     assert rows
     for row in rows:
         for metric in ("FMR", "FMRR"):
@@ -258,8 +272,8 @@ def test_table7_shares_are_percentages(workbench):
             assert math.isnan(value) or 0.0 <= value <= 100.0
 
 
-def test_table7_redundant_share_is_high_on_fb(workbench):
-    tables = table7_outperform_redundancy(workbench)["tables"]
+def test_table7_redundant_share_is_high_on_fb(runner):
+    tables = table7_outperform_redundancy(runner)["tables"]
     fb_shares = [
         value
         for shares in tables["FB15k-like"].values()
@@ -271,32 +285,32 @@ def test_table7_redundant_share_is_high_on_fb(workbench):
     assert max(fb_shares) > 50.0
 
 
-def test_table8_counts_cover_lineup(workbench):
-    tables = table8_best_model_counts(workbench)["tables"]
+def test_table8_counts_cover_lineup(runner):
+    tables = table8_best_model_counts(runner)["tables"]
     for dataset_counts in tables.values():
         for metric_counts in dataset_counts.values():
-            assert set(metric_counts) == set(workbench.lineup())
+            assert set(metric_counts) == set(runner.lineup())
             assert all(count >= 0 for count in metric_counts.values())
 
 
-def test_figure5_6_win_percentages_are_valid(workbench):
-    heatmaps = figure5_6_per_relation_heatmap(workbench)["heatmaps"]
+def test_figure5_6_win_percentages_are_valid(runner):
+    heatmaps = figure5_6_per_relation_heatmap(runner)["heatmaps"]
     for heatmap in heatmaps.values():
         for wins in heatmap.values():
             assert all(0.0 <= value <= 100.0 for value in wins.values())
             assert max(wins.values()) > 0.0
 
 
-def test_figure7_8_breakdown_uses_known_categories(workbench):
-    breakdowns = figure7_8_category_breakdown(workbench)["breakdowns"]
+def test_figure7_8_breakdown_uses_known_categories(runner):
+    breakdowns = figure7_8_category_breakdown(runner)["breakdowns"]
     valid = {"1-1", "1-n", "n-1", "n-m"}
     for breakdown in breakdowns.values():
         for categories in breakdown.values():
             assert set(categories) <= valid
 
 
-def test_table9_10_12_have_head_and_tail_columns(workbench):
-    tables = table9_10_12_category_hits(workbench)["tables"]
+def test_table9_10_12_have_head_and_tail_columns(runner):
+    tables = table9_10_12_category_hits(runner)["tables"]
     assert len(tables) == 3
     for rows in tables.values():
         for row in rows:

@@ -216,6 +216,20 @@ def test_experiment_subcommand_single_table(capsys):
     assert "Table 1" in capsys.readouterr().out
 
 
+def test_experiment_rejects_a_conve_dim_before_training_anything(capsys, monkeypatch):
+    import repro.models.trainer as trainer
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model trained before the spec was rejected")
+
+    monkeypatch.setattr(trainer, "train_model", no_training)
+    with pytest.raises(SystemExit, match="model.dim: ConvE cannot use dim 8"):
+        main(["experiment", "all", "--scale", "tiny", "--epochs", "2", "--dim", "8"])
+    with pytest.raises(SystemExit, match="model.dim: ConvE cannot use dim 8"):
+        main(["train", "--model", "ConvE", "--scale", "tiny", "--dim", "8"])
+    assert capsys.readouterr().out == ""
+
+
 def test_experiment_subcommand_rejects_unknown(capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "table99"])
